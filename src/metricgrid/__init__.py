@@ -8,10 +8,11 @@ the whole family on a distance x normalizer x aggregator grid.
 
 Quick start::
 
-    from metricgrid import evaluate_named, validate_series_pair
+    from metricgrid import evaluate_metric, validate_series_pair
 
     pair = validate_series_pair([1, 2, 3, 4], [2, 2, 5, 3])
-    print(evaluate_named(pair, "RMSE").value)
+    result, _ = evaluate_metric(pair, "RMSE")
+    print(result.value)
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .derived import (  # noqa: F401
     SuiteDefinition,
     SuiteResult,
     coefficient_of_determination,
+    evaluate_metric,
     evaluate_suite,
     extended,
     mase,

@@ -4,7 +4,10 @@ Four verbs: ``eval`` scores predictions from a CSV or JSON file, ``chart``
 prints the composition grid, ``list`` dumps the catalog and ``suites``
 shows the named metric bundles.  Exit codes: 0 all good, 1 at least one
 metric failed to evaluate, 2 the configuration or input could not be used
-at all.
+at all.  Every named metric, from ``--metrics`` or a suite, passes
+``registry.check`` before any data is evaluated and is then evaluated by
+``derived.evaluate_metric``; only ad-hoc ``--composition`` descriptors go
+straight to the pipeline.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
+from enum import Enum
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,13 +40,11 @@ from .errors import (
 from .types import (
     AggKind,
     Aggregator,
-    BenchmarkInput,
     Dimension,
     Distance,
     EvaluationPolicy,
     LogRatioPolicy,
     MetricComposition,
-    MetricResult,
     NormalizerSpec,
     NormKind,
     PointTransform,
@@ -160,32 +163,21 @@ def load_series(path: str, column: str) -> np.ndarray:
 
 # --- ad-hoc composition descriptors -----------------------------------------
 
-_DISTANCES = {
-    "d1": Distance.ERROR, "error": Distance.ERROR,
-    "d2": Distance.ABSOLUTE_ERROR, "absolute-error": Distance.ABSOLUTE_ERROR,
-    "d3": Distance.SQUARED_ERROR, "squared-error": Distance.SQUARED_ERROR,
-    "d4": Distance.LOG_QUOTIENT, "log-quotient": Distance.LOG_QUOTIENT,
-    "d5": Distance.ABS_LOG_QUOTIENT, "abs-log-quotient": Distance.ABS_LOG_QUOTIENT,
-}
+def _descriptor_table(kinds: type[Enum]) -> dict[str, Any]:
+    """Each member by its code ('d2') and by its long name ('absolute-error')."""
+    table = {}
+    for kind in kinds:
+        table[kind.value.lower()] = kind
+        table[kind.name.lower().replace("_", "-")] = kind
+    return table
+
+
+_DISTANCES = _descriptor_table(Distance)
 _NORMALIZERS = {
-    "n1": NormKind.UNITARY, "unitary": NormKind.UNITARY,
-    "n2": NormKind.BY_ACTUALS, "by-actuals": NormKind.BY_ACTUALS,
-    "n3": NormKind.BY_VARIABILITY, "by-variability": NormKind.BY_VARIABILITY,
-    "n4": NormKind.BY_SUM, "by-sum": NormKind.BY_SUM,
-    "n5max": NormKind.BY_MAX, "n5-max": NormKind.BY_MAX, "by-max": NormKind.BY_MAX,
-    "n5min": NormKind.BY_MIN, "n5-min": NormKind.BY_MIN, "by-min": NormKind.BY_MIN,
-    "n5": NormKind.BY_MAX,
+    **_descriptor_table(NormKind),
+    "n5": NormKind.BY_MAX, "n5-max": NormKind.BY_MAX, "n5-min": NormKind.BY_MIN,
 }
-_AGGREGATORS = {
-    "g1": AggKind.MEAN, "mean": AggKind.MEAN,
-    "g2": AggKind.MEDIAN, "median": AggKind.MEDIAN,
-    "g3": AggKind.GEOMETRIC_MEAN, "geometric-mean": AggKind.GEOMETRIC_MEAN,
-    "g4": AggKind.SUM, "sum": AggKind.SUM,
-    "max": AggKind.MAXIMUM, "maximum": AggKind.MAXIMUM,
-    "harmonic": AggKind.HARMONIC_MEAN, "harmonic-mean": AggKind.HARMONIC_MEAN,
-    "truncated": AggKind.TRUNCATED_MEAN, "truncated-mean": AggKind.TRUNCATED_MEAN,
-    "winsorized": AggKind.WINSORIZED_MEAN, "winsorized-mean": AggKind.WINSORIZED_MEAN,
-}
+_AGGREGATORS = _descriptor_table(AggKind)
 _TRANSFORMS = {t.value: t for t in PointTransform}
 
 
@@ -320,33 +312,15 @@ def evaluate_selection(
     policy: EvaluationPolicy,
 ) -> dict:
     """Evaluate one named metric into a report entry; errors are embedded."""
-    defn = registry.lookup(name)
+    label = registry.lookup(name).abbreviation
     try:
-        if defn.requires == "benchmark":
-            if benchmark is None:
-                raise MissingBenchmark(defn.abbreviation, "a benchmark prediction column")
-            rel = derived.relative_named(pair, benchmark, defn.abbreviation, policy)
-            result = MetricResult(rel.value, Dimension.DIMENSIONLESS, pair.n, 0, ())
-            return _metric_entry(defn.abbreviation, result, variant, {
-                "base": rel.base,
-                "form": rel.form,
-                "candidate": rel.candidate,
-                "benchmark": rel.benchmark,
-                "interpretation": rel.interpretation,
-            })
-        if defn.requires is not None:
-            if in_sample is None:
-                raise MissingBenchmark(defn.abbreviation, "an in-sample history (--in-sample)")
-            return _metric_entry(defn.abbreviation, derived.mase(pair, in_sample, policy), variant)
-        if defn.category is registry.Category.EXTENDED:
-            return _metric_entry(defn.abbreviation, derived.extended(pair, defn.abbreviation, policy), variant)
-        if defn.abbreviation == "CoD":
-            return _metric_entry(defn.abbreviation, derived.coefficient_of_determination(pair, policy), variant)
-        return _metric_entry(
-            defn.abbreviation, registry.evaluate_named(pair, defn.abbreviation, policy, variant), variant
-        )
+        result, rel = derived.evaluate_metric(pair, label, policy, variant, benchmark, in_sample)
     except MetricError as exc:
-        return _error_entry(defn.abbreviation, variant, exc)
+        return _error_entry(label, variant, exc)
+    detail = None
+    if rel is not None:
+        detail = {k: v for k, v in asdict(rel).items() if k != "value"}
+    return _metric_entry(label, result, variant, detail)
 
 
 def _selection_plan(
@@ -357,54 +331,31 @@ def _selection_plan(
     extra_suites: dict[str, derived.SuiteDefinition],
     have_benchmark: bool,
     have_in_sample: bool,
-) -> list[tuple[str, Any, str | None]]:
+) -> list[tuple[str, str | None, MetricComposition | None]]:
     """Resolve and validate the selection up front.
 
-    Returns (label, definition-or-composition, variant) triples; anything
-    invalid here is a configuration error, not a metric failure.
+    Returns (label, variant, composition) triples, in selection order and
+    without repeats; the composition is set only for ad-hoc descriptors.
+    Anything invalid here is a configuration error, not a metric failure.
     """
-    plan: list[tuple[str, Any, str | None]] = []
-    seen: set[tuple[str, str | None]] = set()
+    plan: dict[tuple[str, str | None], MetricComposition | None] = {}
 
-    def add_named(name: str) -> None:
-        defn = registry.lookup(name)
-        if not defn.implemented:
-            raise UnimplementedMetric(defn.abbreviation, defn.stub_reason or "")
-        variant = variants.get(name) or variants.get(defn.abbreviation)
-        if variant is not None and variant not in defn.variants:
-            raise UnknownVariant(defn.abbreviation, variant, defn.variants)
-        if defn.requires == "benchmark" and not have_benchmark:
-            raise MissingBenchmark(defn.abbreviation, "a benchmark column (--benchmark)")
-        if defn.requires not in (None, "benchmark") and not have_in_sample:
-            raise MissingBenchmark(defn.abbreviation, "an in-sample history (--in-sample)")
-        key = (defn.abbreviation, variant)
-        if key not in seen:
-            seen.add(key)
-            plan.append((defn.abbreviation, defn, variant))
+    def add_named(defn: registry.MetricDefinition, variant: str | None) -> None:
+        registry.check(defn, variant, have_benchmark, have_in_sample)
+        plan.setdefault((defn.abbreviation, variant), None)
 
     for name in metrics:
-        add_named(name)
+        defn = registry.lookup(name)
+        add_named(defn, variants.get(name) or variants.get(defn.abbreviation))
     for suite_name in suites:
-        suite = derived.get_suite(suite_name, extra_suites)
-        for member in suite.members:
-            abbr, _, mvariant = member.partition(":")
-            defn = registry.lookup(abbr)
-            if not defn.implemented:
-                raise UnimplementedMetric(defn.abbreviation, defn.stub_reason or "")
-            variant = mvariant or None
-            key = (defn.abbreviation, variant)
-            if key not in seen:
-                seen.add(key)
-                plan.append((defn.abbreviation, defn, variant))
+        for member in derived.get_suite(suite_name, extra_suites).members:
+            abbr, _, variant = member.partition(":")
+            add_named(registry.lookup(abbr), variant or None)
     for text in compositions:
-        comp = parse_composition(text)
-        key = (text, None)
-        if key not in seen:
-            seen.add(key)
-            plan.append((text, comp, None))
+        plan.setdefault((text, None), parse_composition(text))
     if not plan:
         raise ParseError("nothing selected: pass --metrics, --suite or --composition")
-    return plan
+    return [(label, variant, comp) for (label, variant), comp in plan.items()]
 
 
 # --- report rendering ---------------------------------------------------------
@@ -546,16 +497,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
 
     entries = []
-    failed = False
-    for label, target, variant in plan:
-        if isinstance(target, MetricComposition):
-            try:
-                entries.append(_metric_entry(label, evaluate(pair, target, policy), None))
-            except MetricError as exc:
-                entries.append(_error_entry(label, None, exc))
-        else:
+    for label, variant, comp in plan:
+        if comp is None:
             entries.append(evaluate_selection(pair, label, variant, benchmark, in_sample, policy))
-        failed = failed or "error" in entries[-1]
+            continue
+        try:
+            entries.append(_metric_entry(label, evaluate(pair, comp, policy), None))
+        except MetricError as exc:
+            entries.append(_error_entry(label, None, exc))
+    failed = any("error" in entry for entry in entries)
 
     report = {
         "input": str(path),

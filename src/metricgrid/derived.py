@@ -1,10 +1,12 @@
-"""Metrics built on top of other metrics.
+"""Metrics built on top of other metrics, and the one route to any named metric.
 
 Three families live here: whole-series normalizations of RMSE/MSE, the
 benchmark- and history-relative composites (RMAE, RelRMSE, LMR, RGRMSE,
 MASE, CoD), and named metric suites.  Base values are computed through
 the composition pipeline, not the closed forms in ``formulas``, so the
-two routes stay independently checkable.
+two routes stay independently checkable.  ``evaluate_metric``, which
+suites and the command line call, is the one route from a catalog name to
+a value: ``registry.check``, then the evaluator of the metric's family.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from . import registry
 from .errors import (
     BenchmarkMismatch,
     InsufficientData,
+    LogDomain,
     MetricError,
-    MissingBenchmark,
     UnknownSuite,
     ValidationError,
     ZeroDenominator,
@@ -173,6 +175,8 @@ def relative_metric(
     if abs(bench) < NEAR_ZERO:
         raise ZeroDenominator(message=f"benchmark {defn.abbreviation} is zero")
     ratio = candidate / bench
+    if form == "log-ratio" and ratio <= 0:
+        raise LogDomain(ratio)
     value = float(np.log(ratio)) if form == "log-ratio" else ratio
     return RelativeResult(
         base=defn.abbreviation,
@@ -196,6 +200,37 @@ def relative_named(
         raise ValidationError(f"{name!r} is not a benchmark-relative metric")
     base, form = RELATIVE_FORMS[key]
     return relative_metric(pair, benchmark, base, form, policy)
+
+
+def evaluate_metric(
+    pair: SeriesPair,
+    name: str,
+    policy: EvaluationPolicy = FAIL_FAST,
+    variant: str | None = None,
+    benchmark: SeriesPair | None = None,
+    in_sample: np.ndarray | None = None,
+) -> tuple[MetricResult, RelativeResult | None]:
+    """Evaluate any implemented catalog metric by name.
+
+    ``benchmark`` is a second prediction of the same actuals, needed by
+    the benchmark-relative metrics; ``in_sample`` is the history that
+    scales MASE.  Configuration errors (stub, unknown variant, missing
+    input) raise before any data is touched.  The RelativeResult is
+    returned for benchmark-relative metrics and is None otherwise.
+    """
+    defn = registry.lookup(name)
+    registry.check(defn, variant, benchmark is not None, in_sample is not None)
+    abbr = defn.abbreviation
+    if defn.requires == "benchmark":
+        rel = relative_named(pair, benchmark, abbr, policy)
+        return MetricResult(rel.value, Dimension.DIMENSIONLESS, pair.n, 0, ()), rel
+    if defn.requires == "in-sample history":
+        return mase(pair, in_sample, policy), None
+    if defn.category is registry.Category.EXTENDED:
+        return extended(pair, abbr, policy), None
+    if abbr == "CoD":
+        return coefficient_of_determination(pair, policy), None
+    return registry.evaluate_named(pair, abbr, policy, variant), None
 
 
 # --- suites ---------------------------------------------------------------
@@ -271,24 +306,12 @@ def _evaluate_member(
 ) -> SuiteEntry:
     abbr, _, variant = member.partition(":")
     variant = variant or None
+    benchmark = aux.benchmark_pair if aux is not None else None
+    in_sample = aux.in_sample if aux is not None else None
     try:
-        defn = registry.lookup(abbr)
-        if defn.requires == "benchmark":
-            if aux is None or aux.benchmark_pair is None:
-                raise MissingBenchmark(defn.abbreviation, "a benchmark prediction")
-            rel = relative_named(pair, aux.benchmark_pair, defn.abbreviation, policy)
-            result = MetricResult(rel.value, Dimension.DIMENSIONLESS, pair.n, 0, ())
-        elif defn.requires is not None:
-            if aux is None or aux.in_sample is None:
-                raise MissingBenchmark(defn.abbreviation, "an in-sample history")
-            result = mase(pair, aux.in_sample, policy)
-        elif defn.category is registry.Category.EXTENDED:
-            result = extended(pair, defn.abbreviation, policy)
-        elif defn.abbreviation == "CoD":
-            result = coefficient_of_determination(pair, policy)
-        else:
-            result = registry.evaluate_named(pair, defn.abbreviation, policy, variant)
-        return SuiteEntry(defn.abbreviation, variant, result, None)
+        name = registry.lookup(abbr).abbreviation
+        result, _ = evaluate_metric(pair, name, policy, variant, benchmark, in_sample)
+        return SuiteEntry(name, variant, result, None)
     except MetricError as exc:
         return SuiteEntry(abbr, variant, None, f"{type(exc).__name__}: {exc}")
 

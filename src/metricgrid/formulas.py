@@ -16,6 +16,7 @@ from .errors import (
     AllPointsSkipped,
     GeometricMeanDomain,
     InsufficientData,
+    LogDomain,
     NonpositiveLogRatio,
     ZeroDenominator,
 )
@@ -76,13 +77,6 @@ def _log_ratio(
         if bad.all():
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
     return np.log(np.where(bad, 1.0, ratio)), ~bad
-
-
-def log_ratio_flags(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Boolean mask of points where ln(P/A) is undefined."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p / a
-    return ~np.isfinite(ratio) | (ratio <= 0)
 
 
 def _mean(values: np.ndarray, mask: np.ndarray) -> float:
@@ -503,7 +497,10 @@ def relrmse(a, p, pb, policy=FAIL_FAST):
 
 def lmr(a, p, pb, policy=FAIL_FAST):
     """Natural log of the RMSE ratio against a benchmark."""
-    return float(np.log(relrmse(a, p, pb, policy)))
+    ratio = relrmse(a, p, pb, policy)
+    if ratio <= 0:
+        raise LogDomain(ratio)
+    return float(np.log(ratio))
 
 
 def rgrmse(a, p, pb, policy=FAIL_FAST):

@@ -2,22 +2,25 @@
 
 Every implemented metric carries both a composition (where one exists)
 and a direct closed-form implementation from ``formulas``.  The two are
-independent code paths; tests hold them to agreement.  Lookup is
-case-insensitive, knows the common alias names, and suggests near misses.
+independent code paths; tests hold them to agreement.  Variants are data
+on the definition.  Lookup is case-insensitive, knows the common alias
+names, and suggests near misses.  ``check`` holds every up-front
+configuration check for a named metric; ``evaluate_named`` evaluates
+primary metrics only, and ``derived.evaluate_metric`` every catalog name.
 """
 
 from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
 
 import numpy as np
 
 from . import formulas
-from .errors import RequiresBenchmark, UnimplementedMetric, UnknownMetric, UnknownVariant
+from .errors import MissingBenchmark, RequiresBenchmark, UnimplementedMetric, UnknownMetric, UnknownVariant
 from .evaluator import dimension_of, evaluate, point_distances
 from .types import (
     Aggregator,
@@ -54,22 +57,35 @@ class Category(Enum):
 
 
 @dataclass(frozen=True)
+class Variant:
+    """How one named variant of a metric is computed.
+
+    ``composition`` is None when only the closed form exists; ``kwargs``
+    are the keyword arguments that select the variant in the closed form.
+    """
+
+    composition: MetricComposition | None
+    kwargs: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class MetricDefinition:
     """One catalog entry.
 
-    ``composition`` is None for direct-formula-only metrics; ``direct`` is
-    None for stubs and for metrics needing external inputs.  ``cell`` is
+    ``composition`` is None for direct-formula-only metrics; ``formula``
+    is None for stubs and for metrics needing external inputs.  ``cell`` is
     normally the composition's cell but can be pinned for metrics charted
-    at a conventional position (``as_printed``).
+    at a conventional position (``as_printed``).  ``log_weight`` marks a
+    metric that sums ln(P/A) weighted per point (KLD, JD).
     """
 
     abbreviation: str
     full_name: str
     category: Category
     composition: MetricComposition | None = None
-    direct: DirectFn | None = None
+    formula: Callable[..., float] | None = None
     aliases: tuple[str, ...] = ()
-    variants: tuple[str, ...] = ()
+    variants: dict[str, Variant] = field(default_factory=dict, hash=False)
     dimension: Dimension = Dimension.DIMENSIONLESS
     cell: Cell | None = None
     chart_aka: tuple[str, ...] = ()
@@ -77,12 +93,22 @@ class MetricDefinition:
     charted: bool = True
     as_printed: bool = False
     requires: str | None = None          # None | "benchmark" | "in-sample history"
+    log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     notes: str = ""
     stub_reason: str | None = None
 
     @property
     def implemented(self) -> bool:
         return self.stub_reason is None
+
+    @property
+    def direct(self) -> DirectFn | None:
+        """The closed form as ``direct(a, p, policy, variant)``; None without one."""
+        return None if self.formula is None else self._direct
+
+    def _direct(self, a, p, policy: EvaluationPolicy = FAIL_FAST, variant: str | None = None) -> float:
+        kwargs = {} if variant is None else self.variants[variant].kwargs
+        return self.formula(a, p, policy, **kwargs)
 
     def to_record(self) -> dict[str, Any]:
         cell = None
@@ -124,27 +150,30 @@ def _comp(
     return MetricComposition(distance, normalizer, aggregator, transform, post)
 
 
-def _plain(fn: Callable) -> DirectFn:
-    return lambda a, p, policy, variant: fn(a, p, policy)
+def _options(comp: MetricComposition) -> dict[str, Variant]:
+    # option2, the ratio of sums, has no per-point composition
+    return {"option1": Variant(comp), "option2": Variant(None, {"option": 2})}
 
 
-def _optioned(fn: Callable) -> DirectFn:
-    return lambda a, p, policy, variant: fn(a, p, policy, option=2 if variant == "option2" else 1)
+def _absolute(comp: MetricComposition) -> dict[str, Variant]:
+    absolute = replace(comp, normalizer=replace(comp.normalizer, absolute=True))
+    return {"absolute": Variant(absolute, {"variant": "absolute"})}
 
 
-def _varianted(fn: Callable) -> DirectFn:
-    return lambda a, p, policy, variant: fn(a, p, policy, variant=variant)
+def _conventional(comp: MetricComposition) -> dict[str, Variant]:
+    # the root is taken before scaling to percent
+    conventional = replace(comp, post=(SQRT, PERCENT_SCALE))
+    return {"conventional": Variant(conventional, {"variant": "conventional"})}
 
 
-def _gmrae_direct(a, p, policy, variant):
-    form = "root-product" if variant == "root-product" else "exp-mean-log"
-    return formulas.gmrae(a, p, policy, form=form)
-
-
-def _primary(abbr: str, name: str, comp: MetricComposition, direct: DirectFn, **kw) -> MetricDefinition:
+def _primary(abbr: str, name: str, comp: MetricComposition, formula: Callable[..., float],
+             variants: Callable[[MetricComposition], dict[str, Variant]] | None = None,
+             **kw) -> MetricDefinition:
     kw.setdefault("cell", comp.cell)
     kw.setdefault("dimension", dimension_of(comp))
-    return MetricDefinition(abbr, name, Category.PRIMARY, comp, direct, **kw)
+    if variants is not None:
+        kw["variants"] = variants(comp)
+    return MetricDefinition(abbr, name, Category.PRIMARY, comp, formula, **kw)
 
 
 def _build_catalog() -> dict[str, MetricDefinition]:
@@ -152,100 +181,101 @@ def _build_catalog() -> dict[str, MetricDefinition]:
 
     # signed error
     defs.append(_primary(
-        "ME", "Mean Error", _comp(Distance.ERROR), _plain(formulas.me),
+        "ME", "Mean Error", _comp(Distance.ERROR), formulas.me,
         aliases=("MBE",), chart_aka=("MBE", "bias"),
         notes="signed errors cancel; a small value does not imply small errors",
     ))
     defs.append(_primary(
-        "MD", "Manhattan Distance", _comp(Distance.ERROR, aggregator=SUM), _plain(formulas.md),
+        "MD", "Manhattan Distance", _comp(Distance.ERROR, aggregator=SUM), formulas.md,
         notes="sum of signed errors, so opposite-sign errors cancel",
     ))
     defs.append(_primary(
         "MNB", "Mean Normalized Bias",
-        _comp(Distance.ERROR, _norm(NormKind.BY_ACTUALS)), _plain(formulas.mnb),
+        _comp(Distance.ERROR, _norm(NormKind.BY_ACTUALS)), formulas.mnb,
     ))
     defs.append(_primary(
         "MPE", "Mean Percentage Error",
         _comp(Distance.ERROR, _norm(NormKind.BY_ACTUALS), post=(PERCENT_SCALE,)),
-        _plain(formulas.mpe), chart_parent="MNB",
+        formulas.mpe, chart_parent="MNB",
     ))
     defs.append(_primary(
         "FB", "Fractional Bias",
-        _comp(Distance.ERROR, _norm(NormKind.BY_SUM, factor=2.0)), _plain(formulas.fb),
+        _comp(Distance.ERROR, _norm(NormKind.BY_SUM, factor=2.0)), formulas.fb,
     ))
 
     # absolute error
     defs.append(_primary(
-        "MAE", "Mean Absolute Error", _comp(Distance.ABSOLUTE_ERROR), _plain(formulas.mae),
+        "MAE", "Mean Absolute Error", _comp(Distance.ABSOLUTE_ERROR), formulas.mae,
         aliases=("MAD", "MAGE", "MCD"), chart_aka=("MAD",),
     ))
     defs.append(_primary(
         "MdAE", "Median Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=MEDIAN), _plain(formulas.mdae),
+        _comp(Distance.ABSOLUTE_ERROR, aggregator=MEDIAN), formulas.mdae,
     ))
     defs.append(_primary(
         "MaxAE", "Maximum Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=MAXIMUM), _plain(formulas.maxae),
+        _comp(Distance.ABSOLUTE_ERROR, aggregator=MAXIMUM), formulas.maxae,
         notes="uses the maximum aggregator, outside the four core aggregators",
     ))
     defs.append(_primary(
         "SAD", "Sum of Absolute Differences",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=SUM), _plain(formulas.sad),
+        _comp(Distance.ABSOLUTE_ERROR, aggregator=SUM), formulas.sad,
     ))
     defs.append(_primary(
         "GMAE", "Geometric Mean Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=GEOMETRIC_MEAN), _plain(formulas.gmae),
+        _comp(Distance.ABSOLUTE_ERROR, aggregator=GEOMETRIC_MEAN), formulas.gmae,
         notes="undefined when any error is zero; never silently returns 0",
     ))
     defs.append(_primary(
         "MARE", "Mean Absolute Relative Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True)),
-        _plain(formulas.mare), aliases=("MMRE",),
+        formulas.mare, aliases=("MMRE",),
     ))
     defs.append(_primary(
         "MAPE", "Mean Absolute Percentage Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True), post=(PERCENT_SCALE,)),
-        _plain(formulas.mape), chart_parent="MARE",
+        formulas.mape, chart_parent="MARE",
     ))
     defs.append(_primary(
         "MdAPE", "Median Absolute Percentage Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True),
               aggregator=MEDIAN, post=(PERCENT_SCALE,)),
-        _plain(formulas.mdape),
+        formulas.mdape,
     ))
     defs.append(_primary(
         "MRAE", "Mean Relative Absolute Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True)),
-        _optioned(formulas.mrae), variants=("option1", "option2"),
+        formulas.mrae, _options,
         notes="option2 divides the error sum by n times the deviation sum",
     ))
     defs.append(_primary(
         "MdRAE", "Median Relative Absolute Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True), aggregator=MEDIAN),
-        _plain(formulas.mdrae),
+        formulas.mdrae,
     ))
     defs.append(_primary(
         "GMRAE", "Geometric Mean Relative Absolute Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True),
               aggregator=GEOMETRIC_MEAN),
-        _gmrae_direct, variants=("root-product",),
+        formulas.gmrae, lambda comp: {"root-product": Variant(comp, {"form": "root-product"})},
         notes="root-product form is algebraically identical to the mean-log form",
     ))
     defs.append(_primary(
         "RAE", "Relative Absolute Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True), aggregator=SUM),
-        _optioned(formulas.rae), variants=("option1", "option2"),
+        formulas.rae, _options,
         notes="option2 is the ratio of sums rather than the sum of ratios",
     ))
     defs.append(_primary(
         "FAE", "Fractional Absolute Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0)),
-        _varianted(formulas.fae), variants=("absolute",),
+        formulas.fae, _absolute,
     ))
     defs.append(_primary(
         "sMAPE", "Symmetric Mean Absolute Percentage Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0), post=(PERCENT_SCALE,)),
-        _varianted(formulas.smape), variants=("absolute", "mean-denominator"),
+        formulas.smape,
+        lambda comp: {**_absolute(comp), "mean-denominator": Variant(comp, {"variant": "mean-denominator"})},
         chart_parent="FAE",
         notes="mean-denominator variant divides by (A+P)/2, the same quantity",
     ))
@@ -253,106 +283,106 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         "sMdAPE", "Symmetric Median Absolute Percentage Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0),
               aggregator=MEDIAN, post=(PERCENT_SCALE,)),
-        _varianted(formulas.smdape), variants=("absolute",),
+        formulas.smdape, _absolute,
     ))
     defs.append(_primary(
         "CM", "Canberra Metric",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM), aggregator=SUM),
-        _varianted(formulas.cm), variants=("absolute",),
+        formulas.cm, _absolute,
     ))
     defs.append(_primary(
         "WHD", "Wave Hedges Distance",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_MAX), aggregator=SUM),
-        _plain(formulas.whd),
+        formulas.whd,
     ))
 
     # squared error
     defs.append(_primary(
-        "MSE", "Mean Squared Error", _comp(Distance.SQUARED_ERROR), _plain(formulas.mse),
+        "MSE", "Mean Squared Error", _comp(Distance.SQUARED_ERROR), formulas.mse,
     ))
     defs.append(_primary(
         "RMSE", "Root Mean Squared Error",
-        _comp(Distance.SQUARED_ERROR, post=(SQRT,)), _plain(formulas.rmse),
+        _comp(Distance.SQUARED_ERROR, post=(SQRT,)), formulas.rmse,
         chart_parent="MSE",
     ))
     defs.append(_primary(
         "SSE", "Sum of Squared Errors",
-        _comp(Distance.SQUARED_ERROR, aggregator=SUM), _plain(formulas.sse),
+        _comp(Distance.SQUARED_ERROR, aggregator=SUM), formulas.sse,
     ))
     defs.append(_primary(
         "ED", "Euclidean Distance",
-        _comp(Distance.SQUARED_ERROR, aggregator=SUM, post=(SQRT,)), _plain(formulas.ed),
+        _comp(Distance.SQUARED_ERROR, aggregator=SUM, post=(SQRT,)), formulas.ed,
         chart_parent="SSE",
     ))
     defs.append(_primary(
         "GRMSE", "Geometric Root Mean Squared Error",
         _comp(Distance.SQUARED_ERROR, aggregator=GEOMETRIC_MEAN, post=(SQRT,)),
-        _plain(formulas.grmse),
+        formulas.grmse,
     ))
     defs.append(_primary(
         "MSPE", "Mean Square Percentage Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2), post=(PERCENT_SCALE,)),
-        _plain(formulas.mspe),
+        formulas.mspe,
     ))
     defs.append(_primary(
         "RMSPE", "Root Mean Square Percentage Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
               post=(PERCENT_SCALE, SQRT)),
-        _varianted(formulas.rmspe), variants=("conventional",), chart_parent="MSPE",
+        formulas.rmspe, _conventional, chart_parent="MSPE",
         notes="conventional variant takes the root before scaling to percent",
     ))
     defs.append(_primary(
         "MdSPE", "Median Square Percentage Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
               aggregator=MEDIAN, post=(PERCENT_SCALE,)),
-        _plain(formulas.mdspe),
+        formulas.mdspe,
     ))
     defs.append(_primary(
         "RMdSPE", "Root Median Square Percentage Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
               aggregator=MEDIAN, post=(PERCENT_SCALE, SQRT)),
-        _varianted(formulas.rmdspe), variants=("conventional",), chart_parent="MdSPE",
+        formulas.rmdspe, _conventional, chart_parent="MdSPE",
     ))
     defs.append(_primary(
         "NCSD", "Neyman Chi-Square Distance",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS), aggregator=SUM),
-        _plain(formulas.ncsd),
+        formulas.ncsd,
     ))
     defs.append(_primary(
         "RSE", "Relative Squared Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_VARIABILITY, exponent=2), aggregator=SUM),
-        _optioned(formulas.rse), variants=("option1", "option2"),
+        formulas.rse, _options,
     ))
     defs.append(_primary(
         "RRSE", "Root Relative Squared Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_VARIABILITY, exponent=2),
               aggregator=SUM, post=(SQRT,)),
-        _optioned(formulas.rrse), variants=("option1", "option2"), chart_parent="RSE",
+        formulas.rrse, _options, chart_parent="RSE",
     ))
     defs.append(_primary(
         "SquD", "Squared Chi-Square Distance",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_SUM), aggregator=SUM),
-        _plain(formulas.squd),
+        formulas.squd,
     ))
     defs.append(_primary(
         "DivD", "Divergence Distance",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_SUM, exponent=2, factor=2.0), aggregator=SUM),
-        _plain(formulas.divd),
+        formulas.divd,
     ))
     defs.append(_primary(
         "VSD", "Vicis Symmetric Distance",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_MIN), aggregator=SUM),
-        _plain(formulas.vsd),
+        formulas.vsd,
     ))
 
     # log quotient
     defs.append(_primary(
         "MdLAR", "Median Log Accuracy Ratio",
-        _comp(Distance.LOG_QUOTIENT, aggregator=MEDIAN), _plain(formulas.mdlar),
+        _comp(Distance.LOG_QUOTIENT, aggregator=MEDIAN), formulas.mdlar,
     ))
     defs.append(MetricDefinition(
         "KLD", "Kullback-Leibler Divergence", Category.PRIMARY,
-        composition=None, direct=_plain(formulas.kld),
+        composition=None, formula=formulas.kld, log_weight=lambda a, p: p,
         dimension=Dimension.SAME_AS_DATA,
         cell=(Distance.LOG_QUOTIENT, NormKind.BY_ACTUALS, AggKind.SUM),
         as_printed=True,
@@ -361,7 +391,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     ))
     defs.append(MetricDefinition(
         "JD", "Jeffreys Divergence", Category.PRIMARY,
-        composition=None, direct=_plain(formulas.jd),
+        composition=None, formula=formulas.jd, log_weight=lambda a, p: p - a,
         dimension=Dimension.SAME_AS_DATA, cell=None, charted=False,
         notes="weights each log ratio by (P - A); has no core-grid cell",
     ))
@@ -370,19 +400,19 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     defs.append(_primary(
         "MNAFE", "Mean Normalized Absolute Factor Error",
         _comp(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.EXP_MINUS_ONE),
-        _plain(formulas.mnafe),
+        formulas.mnafe,
     ))
     defs.append(_primary(
         "MNFB", "Mean Normalized Factor Bias",
         _comp(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.SIGNED_EXP_MINUS_ONE),
-        _plain(formulas.mnfb), charted=False,
+        formulas.mnfb, charted=False,
         notes="sign-weighted factor error; left out of the core grid because "
               "of the extra sign factor",
     ))
     defs.append(_primary(
         "MdSA", "Median Symmetric Accuracy",
         _comp(Distance.ABS_LOG_QUOTIENT, aggregator=MEDIAN, post=(SYMMETRIC_ACCURACY,)),
-        _plain(formulas.mdsa),
+        formulas.mdsa,
     ))
 
     # extended: whole-series normalizations of RMSE and MSE
@@ -393,7 +423,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         ("NMSE", "Normalized Mean Squared Error", formulas.nmse, ()),
     ):
         defs.append(MetricDefinition(
-            abbr, name, Category.EXTENDED, direct=_plain(fn), aliases=aliases,
+            abbr, name, Category.EXTENDED, formula=fn, aliases=aliases,
             dimension=Dimension.DIMENSIONLESS, charted=False,
             notes="normalizes by a statistic of the whole actual series",
         ))
@@ -401,7 +431,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     # composite: benchmark- and history-relative metrics
     defs.append(MetricDefinition(
         "CoD", "Coefficient of Determination", Category.COMPOSITE,
-        direct=_plain(formulas.cod), dimension=Dimension.DIMENSIONLESS, charted=False,
+        formula=formulas.cod, dimension=Dimension.DIMENSIONLESS, charted=False,
         notes="1 minus the squared-error sum over the total sum of squares",
     ))
     defs.append(MetricDefinition(
@@ -522,35 +552,25 @@ def composed_definitions() -> list[MetricDefinition]:
     return [d for d in list_metrics(category=Category.PRIMARY) if d.composition is not None]
 
 
-def _check_variant(defn: MetricDefinition, variant: str | None) -> None:
+def check(
+    defn: MetricDefinition,
+    variant: str | None = None,
+    have_benchmark: bool = False,
+    have_in_sample: bool = False,
+) -> None:
+    """Raise every configuration error for evaluating ``defn`` as ``variant``.
+
+    A stub, an unknown variant and a missing benchmark or in-sample
+    history are all caught here, before any data is touched.
+    """
+    if not defn.implemented:
+        raise UnimplementedMetric(defn.abbreviation, defn.stub_reason or "")
     if variant is not None and variant not in defn.variants:
-        raise UnknownVariant(defn.abbreviation, variant, defn.variants)
-
-
-def _variant_composition(defn: MetricDefinition, variant: str | None) -> MetricComposition | None:
-    """Composition to run for a variant; None means direct-formula only."""
-    comp = defn.composition
-    if comp is None or variant is None or variant == "option1":
-        return comp
-    if variant == "option2":
-        return None
-    if variant == "absolute":
-        return replace(comp, normalizer=replace(comp.normalizer, absolute=True))
-    if variant == "conventional":
-        return replace(comp, post=(SQRT, PERCENT_SCALE))
-    # mean-denominator and root-product compose identically to the default
-    return comp
-
-
-def _weighted_log_result(
-    pair: SeriesPair,
-    weights: np.ndarray,
-    policy: EvaluationPolicy,
-    dimension: Dimension,
-) -> MetricResult:
-    pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
-    value = float(np.sum(weights[pv.usable] * pv.values[pv.usable]))
-    return MetricResult(value, dimension, pv.n, pv.n - pv.n_usable, tuple(pv.actions))
+        raise UnknownVariant(defn.abbreviation, variant, tuple(defn.variants))
+    if defn.requires == "benchmark" and not have_benchmark:
+        raise MissingBenchmark(defn.abbreviation, "a benchmark prediction")
+    if defn.requires == "in-sample history" and not have_in_sample:
+        raise MissingBenchmark(defn.abbreviation, "an in-sample history")
 
 
 def evaluate_named(
@@ -559,30 +579,27 @@ def evaluate_named(
     policy: EvaluationPolicy = FAIL_FAST,
     variant: str | None = None,
 ) -> MetricResult:
-    """Evaluate a catalog metric on a pair.
+    """Evaluate a primary catalog metric on a pair.
 
-    Composed metrics run through the pipeline; direct-formula metrics run
-    their closed form.  Metrics needing a benchmark or history raise
-    RequiresBenchmark and must go through the derived-metrics API.
+    A variant with a composition runs through the pipeline, KLD and JD
+    weight the pipeline's log ratios, and the direct-only variants run
+    their closed form.  Extended and composite metrics raise
+    RequiresBenchmark: ``derived.evaluate_metric`` evaluates them.
     """
     defn = lookup(name)
-    if not defn.implemented:
-        raise UnimplementedMetric(defn.abbreviation, defn.stub_reason or "")
-    if defn.requires is not None:
-        raise RequiresBenchmark(defn.abbreviation, defn.requires)
-    _check_variant(defn, variant)
+    if defn.implemented and defn.category is not Category.PRIMARY:
+        raise RequiresBenchmark(defn.abbreviation, "more than the per-point pipeline")
+    check(defn, variant)
 
-    comp = _variant_composition(defn, variant)
+    comp = defn.composition if variant is None else defn.variants[variant].composition
     if comp is not None:
         return evaluate(pair, comp, policy)
-
-    a, p = pair.actuals, pair.predicted
-    if defn.abbreviation == "KLD":
-        return _weighted_log_result(pair, p, policy, defn.dimension)
-    if defn.abbreviation == "JD":
-        return _weighted_log_result(pair, p - a, policy, defn.dimension)
-    assert defn.direct is not None
-    value = defn.direct(a, p, policy, variant)
+    if defn.log_weight is not None:
+        pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
+        weights = defn.log_weight(pair.actuals, pair.predicted)
+        value = float(np.sum(weights[pv.usable] * pv.values[pv.usable]))
+        return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, tuple(pv.actions))
+    value = defn.direct(pair.actuals, pair.predicted, policy, variant)
     return MetricResult(float(value), defn.dimension, pair.n, 0, ())
 
 
@@ -594,9 +611,7 @@ def direct_formula(
 ) -> float:
     """Closed-form value of a catalog metric; the pipeline's cross-check."""
     defn = lookup(name)
-    if not defn.implemented:
-        raise UnimplementedMetric(defn.abbreviation, defn.stub_reason or "")
-    if defn.direct is None:
+    if defn.implemented and defn.formula is None:
         raise RequiresBenchmark(defn.abbreviation, defn.requires or "external inputs")
-    _check_variant(defn, variant)
+    check(defn, variant)
     return float(defn.direct(pair.actuals, pair.predicted, policy, variant))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from metricgrid import cli
+from metricgrid.types import AggKind, Distance, NormKind
 
 DEMO_ROWS = "actual,predicted\n1,2\n2,2\n3,5\n4,3\n"
 
@@ -356,6 +357,29 @@ class TestEval:
         names = [(e["name"], e.get("variant")) for e in report["metrics"]]
         assert names == [("MAE", None), ("RAE", "option2")]
 
+    @pytest.mark.parametrize("member", ["MAE:option2", "RMAE"])
+    def test_misconfigured_suite_member_is_config_error(self, capsys, demo_csv, tmp_path, member):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"suite_definitions": {"bad": {"members": ["MAE", member]}}}))
+        code, out, err = run(
+            capsys, "eval", "--input", demo_csv, "--config", str(cfg), "--suite", "bad"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_lmr_of_perfect_candidate_is_embedded(self, capsys, tmp_path):
+        path = tmp_path / "perfect.csv"
+        path.write_text("actual,predicted,benchmark\n1,1,2\n2,2,3\n3,3,5\n")
+        code, report, _ = run_json(
+            capsys, "eval", "--input", str(path), "--benchmark", "benchmark",
+            "--metrics", "LMR,RelRMSE",
+        )
+        assert code == 1
+        lmr, relrmse = report["metrics"]
+        assert lmr["error"]["type"] == "LogDomain"
+        assert relrmse["value"] == 0.0
+
     def test_config_must_be_object(self, capsys, demo_csv, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("[1, 2]")
@@ -434,6 +458,24 @@ class TestList:
         code, _, err = run(capsys, "list", "--cell", "D2")
         assert code == 2
         assert "cell" in err
+
+
+class TestDescriptorTables:
+    @pytest.mark.parametrize(
+        "member", [*Distance, *NormKind, *AggKind], ids=lambda m: f"{type(m).__name__}.{m.name}"
+    )
+    @pytest.mark.parametrize("spelling", ["code", "long name"])
+    def test_every_grid_part_parses_by_code_and_long_name(self, capsys, member, spelling):
+        token = member.value if spelling == "code" else member.name.lower().replace("_", "-")
+        cell = {Distance: [token, "N1", "G1"], NormKind: ["D2", token, "G1"],
+                AggKind: ["D2", "N1", token]}[type(member)]
+        comp = cli.parse_composition(
+            f"distance={cell[0]} normalizer={cell[1]} aggregator={cell[2]}"
+        )
+        assert member in (comp.distance, comp.normalizer.kind, comp.aggregator.kind)
+        assert member in cli.parse_cell(",".join(cell))
+        code, _, err = run(capsys, "list", "--cell", ",".join(cell))
+        assert code == 0, err
 
 
 class TestSuites:

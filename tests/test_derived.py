@@ -10,6 +10,7 @@ from metricgrid.derived import (
     BUILTIN_SUITES,
     SuiteDefinition,
     coefficient_of_determination,
+    evaluate_metric,
     evaluate_suite,
     extended,
     get_suite,
@@ -20,7 +21,10 @@ from metricgrid.derived import (
 from metricgrid.errors import (
     BenchmarkMismatch,
     InsufficientData,
+    LogDomain,
+    MissingBenchmark,
     UnknownSuite,
+    UnknownVariant,
     ValidationError,
     ZeroDenominator,
 )
@@ -170,6 +174,11 @@ class TestRelativeMetric:
         with pytest.raises(ZeroDenominator):
             relative_metric(PAIR, SeriesPair(PAIR.actuals, PAIR.actuals), base="MAE")
 
+    def test_log_ratio_of_perfect_candidate_is_log_domain_error(self):
+        perfect = SeriesPair(PAIR.actuals, PAIR.actuals)
+        with pytest.raises(LogDomain):
+            relative_metric(perfect, BENCH, base="RMSE", form="log-ratio")
+
     def test_uncomposed_base_rejected(self):
         with pytest.raises(ValidationError):
             relative_metric(PAIR, BENCH, base="NRMSE_m")
@@ -209,6 +218,29 @@ class TestRelativeMetric:
     def test_non_relative_name_rejected(self):
         with pytest.raises(ValidationError):
             relative_named(PAIR, BENCH, "MASE")
+
+
+class TestEvaluateMetric:
+    def test_relative_metric_returns_its_comparison(self):
+        result, rel = evaluate_metric(PAIR, "RelMAE", benchmark=BENCH)
+        assert rel == relative_named(PAIR, BENCH, "RMAE")
+        assert result.value == rel.value
+        assert result.dimension is Dimension.DIMENSIONLESS
+
+    def test_other_families_return_no_comparison(self):
+        assert evaluate_metric(PAIR, "CoD")[1] is None
+        assert evaluate_metric(PAIR, "NRMSE_m")[0] == extended(PAIR, "NRMSE_m")
+        history = np.array([1.0, 3.0, 2.0, 5.0])
+        assert evaluate_metric(PAIR, "MASE", in_sample=history)[0] == mase(PAIR, history)
+
+    @pytest.mark.parametrize(
+        "name,variant,error",
+        [("RMAE", None, MissingBenchmark), ("MASE", None, MissingBenchmark),
+         ("MAE", "option2", UnknownVariant)],
+    )
+    def test_configuration_errors_raise_up_front(self, name, variant, error):
+        with pytest.raises(error):
+            evaluate_metric(PAIR, name, variant=variant)
 
 
 class TestSuites:

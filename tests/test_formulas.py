@@ -13,6 +13,7 @@ from metricgrid import formulas as F
 from metricgrid.errors import (
     GeometricMeanDomain,
     InsufficientData,
+    LogDomain,
     NonpositiveLogRatio,
     ZeroDenominator,
 )
@@ -252,3 +253,7 @@ class TestWholeSeriesAndComposite:
         assert F.lmr(A, P, pb) == pytest.approx(math.log(F.relrmse(A, P, pb)), rel=1e-12)
         with pytest.raises(ZeroDenominator):
             F.rmae(A, P, A)  # perfect benchmark
+
+    def test_lmr_of_perfect_candidate_is_log_domain_error(self):
+        with pytest.raises(LogDomain):
+            F.lmr(A, A, P)

@@ -222,6 +222,11 @@ class TestEvaluateNamed:
         with pytest.raises(RequiresBenchmark):
             evaluate_named(PAIR, "RMAE")
 
+    @pytest.mark.parametrize("name", ["NRMSE_sd", "NMSE", "CoD"])
+    def test_extended_and_cod_are_not_primary(self, name):
+        with pytest.raises(RequiresBenchmark):
+            evaluate_named(PAIR, name)
+
     def test_direct_formula_module_is_isolated(self):
         import ast
 

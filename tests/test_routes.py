@@ -1,0 +1,125 @@
+"""Every route to a named metric gives the same bits.
+
+For each implemented catalog name and variant, the ``metricgrid eval``
+report, ``derived.evaluate_metric``, a one-member ``evaluate_suite`` and,
+for primary metrics, ``registry.evaluate_named`` must agree bit for bit,
+or fail with the same error type.
+"""
+
+import json
+
+import pytest
+
+from metricgrid import cli, registry
+from metricgrid.derived import SuiteDefinition, evaluate_metric, evaluate_suite
+from metricgrid.errors import MetricError
+from metricgrid.types import (
+    BenchmarkInput,
+    EvaluationPolicy,
+    LogRatioPolicy,
+    SeriesPair,
+    ZeroDenominatorPolicy,
+)
+
+MEMBERS = [(d.abbreviation, v) for d in registry.list_metrics() for v in (None, *d.variants)]
+HISTORY = [1.0, 3.0, 2.0, 5.0, 4.0]
+
+DATASETS = {
+    # every family is well defined
+    "clean": {
+        "actual": [1.0, 2.0, 3.0, 5.0, 8.0],
+        "predicted": [2.0, 4.0, 1.0, 3.0, 7.0],
+        "benchmark": [2.0, 3.0, 5.0, 2.0, 6.0],
+    },
+    # a zero actual, an exact prediction and a negative prediction
+    "degenerate": {
+        "actual": [0.0, 2.0, 3.0, 4.0, 5.0],
+        "predicted": [1.0, 2.0, -1.0, 3.0, 6.0],
+        "benchmark": [1.0, 3.0, 3.0, 5.0, 4.0],
+    },
+}
+POLICIES = {
+    "fail": ([], EvaluationPolicy()),
+    "skip": (
+        ["--on-zero-denominator", "skip", "--on-nonpositive-log", "skip"],
+        EvaluationPolicy(ZeroDenominatorPolicy.SKIP, LogRatioPolicy.SKIP),
+    ),
+    "epsilon": (
+        ["--epsilon", "smallest-nonzero", "--on-nonpositive-log", "skip"],
+        EvaluationPolicy(ZeroDenominatorPolicy.EPSILON, LogRatioPolicy.SKIP),
+    ),
+}
+
+
+def member_label(abbr, variant):
+    return f"{abbr}:{variant}" if variant else abbr
+
+
+def outcome(call):
+    """The value's exact bits, or the type name of the error raised."""
+    try:
+        return call().value.hex()
+    except MetricError as exc:
+        return type(exc).__name__
+
+
+def cli_outcomes(tmp_path, data, flags):
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(data))
+    history_path = tmp_path / "history.json"
+    history_path.write_text(json.dumps(HISTORY))
+    members = [member_label(abbr, variant) for abbr, variant in MEMBERS]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite_definitions": {"all": {"members": members}}}))
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "eval", "--input", str(data_path), "--benchmark", "benchmark",
+        "--in-sample", str(history_path), "--config", str(config), "--suite", "all",
+        "--out", str(out), *flags,
+    ])
+    assert code in (0, 1)
+    entries = json.loads(out.read_text())["metrics"]
+    return {
+        (e["name"], e.get("variant")): e["error"]["type"] if "error" in e else float(e["value"]).hex()
+        for e in entries
+    }
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_every_route_gives_the_same_bits(tmp_path, dataset, policy_name):
+    data = DATASETS[dataset]
+    flags, policy = POLICIES[policy_name]
+    pair = SeriesPair(data["actual"], data["predicted"])
+    bench = SeriesPair(data["actual"], data["benchmark"])
+    aux = {
+        None: None,
+        "benchmark": BenchmarkInput(benchmark_pair=bench),
+        "in-sample history": BenchmarkInput(in_sample=HISTORY),
+    }
+    from_cli = cli_outcomes(tmp_path, data, flags)
+    assert len(from_cli) == len(MEMBERS)
+
+    mismatches = []
+    for abbr, variant in MEMBERS:
+        defn = registry.lookup(abbr)
+        want = outcome(lambda: evaluate_metric(pair, abbr, policy, variant, bench, HISTORY)[0])
+        suite = SuiteDefinition("one", (member_label(abbr, variant),))
+        entry = evaluate_suite(pair, suite, aux[defn.requires], policy).entries[0]
+        got = {
+            "cli": from_cli[(abbr, variant)],
+            "suite": entry.error.split(":")[0] if entry.error else entry.result.value.hex(),
+        }
+        if defn.category is registry.Category.PRIMARY:
+            got["evaluate_named"] = outcome(
+                lambda: registry.evaluate_named(pair, abbr, policy, variant)
+            )
+        mismatches += [(abbr, variant, route, value, want)
+                       for route, value in got.items() if value != want]
+    assert mismatches == []
+
+    if dataset == "clean":
+        assert all(not v.isalpha() for v in from_cli.values()), from_cli
+    else:
+        assert any(v.isalpha() for v in from_cli.values())
+        assert not all(v.isalpha() for v in from_cli.values())
