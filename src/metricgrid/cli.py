@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from enum import Enum
 from typing import Any, Sequence
@@ -66,25 +67,68 @@ def _open_text(path: str):
         raise FileAccess(path, exc.strerror or str(exc)) from exc
 
 
+def _load_json(path: str) -> Any:
+    """The parsed document; a decoding error, or an integer too long for
+    Python to convert, is a ParseError."""
+    with _open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _csv_header(reader, path: str, columns: Sequence[str]) -> list[str]:
+    """The stripped header fields; every requested column must be among them."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path} is empty; a header row is required") from None
+    header = [h.strip() for h in header]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ParseError(
+            f"{path} is missing required column(s) {', '.join(missing)}; "
+            f"header has {', '.join(header) or 'nothing'}"
+        )
+    return header
+
+
+def _parse_body(fh) -> np.ndarray | None:
+    """Every remaining row as one float table, or None where NumPy rejects it.
+
+    A body with no data rows gives None too, instead of NumPy's warning.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+
+
 def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """Read named numeric columns from a headered, comma-separated file.
 
     Any row that cannot be parsed is a hard error naming its line number
-    (the header is line 1).
+    (the header is line 1).  The body is parsed in one NumPy call; a file
+    it rejects, or whose rows are shorter than the header, is read again
+    row by row, which gives the same numbers and the line-numbered error.
     """
     with _open_text(path) as fh:
+        first = fh.readline()
+        if first and '"' not in first:
+            header = _csv_header(csv.reader([first]), path, columns)
+            table = _parse_body(fh)
+            if table is not None and table.shape[1] >= len(header):
+                return {c: np.ascontiguousarray(table[:, header.index(c)]) for c in columns}
+    return _read_rows(path, columns)
+
+
+def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """The row-by-row reader: blank rows are skipped, short rows rejected."""
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty; a header row is required") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ParseError(
-                f"{path} is missing required column(s) {', '.join(missing)}; "
-                f"header has {', '.join(header) or 'nothing'}"
-            )
+        header = _csv_header(reader, path, columns)
         idx = {c: header.index(c) for c in columns}
         data: dict[str, list[float]] = {c: [] for c in columns}
         for line_no, row in enumerate(reader, start=2):
@@ -103,13 +147,35 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     return {c: np.asarray(v, dtype=float) for c, v in data.items()}
 
 
+def _json_floats(values: Any, name: str) -> np.ndarray:
+    """A JSON array as a float vector.
+
+    An array of plain ints and floats converts in one NumPy call; anything
+    else goes element by element, so a rejection names its index.
+    """
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.asarray(values, dtype=float)
+        except OverflowError:
+            pass
+    try:
+        return ensure_iterable_of_floats(values, name)
+    except OverflowError:
+        index = next(i for i, v in enumerate(values) if _overflows(v))
+        raise ParseError(f"{name}[{index}] is an integer beyond the float range") from None
+
+
+def _overflows(value: int | float) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def read_columns_json(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """Read named numeric arrays from a JSON object."""
-    with _open_text(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    payload = _load_json(path)
     if not isinstance(payload, dict):
         raise ParseError(f"{path} must hold a JSON object with named arrays")
     out = {}
@@ -119,7 +185,7 @@ def read_columns_json(path: str, columns: Sequence[str]) -> dict[str, np.ndarray
         if not isinstance(payload[c], list):
             raise ParseError(f"{path} key {c!r} must be an array")
         try:
-            out[c] = ensure_iterable_of_floats(payload[c], c)
+            out[c] = _json_floats(payload[c], c)
         except ValidationError as exc:
             raise ParseError(str(exc)) from exc
     return out
@@ -148,15 +214,11 @@ def ingest(
 def load_series(path: str, column: str) -> np.ndarray:
     """Load a single series (JSON array, JSON object key, or CSV column)."""
     if path.lower().endswith(".json"):
-        with _open_text(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        payload = _load_json(path)
         if isinstance(payload, list):
-            return ensure_iterable_of_floats(payload, column)
+            return _json_floats(payload, column)
         if isinstance(payload, dict) and column in payload:
-            return ensure_iterable_of_floats(payload[column], column)
+            return _json_floats(payload[column], column)
         raise ParseError(f"{path} must be a JSON array or an object with key {column!r}")
     return read_columns_csv(path, [column])[column]
 
@@ -424,11 +486,7 @@ def _emit(text: str, out: str | None) -> None:
 def load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
-    with _open_text(path) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    config = _load_json(path)
     if not isinstance(config, dict):
         raise ParseError(f"{path} must hold a JSON object")
     return config
