@@ -10,12 +10,12 @@ metric there would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import DuplicateCellClaim
 from .registry import Category, MetricDefinition, get_catalog
-from .types import AggKind, Cell, Distance, NormKind, PostKind
+from .types import AggKind, Cell, Distance, MetricComposition, NormKind, PostKind
 
 CORE_AGGREGATORS = (AggKind.MEAN, AggKind.MEDIAN, AggKind.GEOMETRIC_MEAN, AggKind.SUM)
 NORM_COLUMNS = ("N1", "N2", "N3", "N4", "N5")
@@ -129,74 +129,57 @@ def _cell_sort_key(item: tuple[Cell, object]) -> tuple:
     )
 
 
-def _entry_label(defn: MetricDefinition) -> str:
+def _cell_entry(defn: MetricDefinition, parent: str | None) -> CellEntry:
+    """The printed line of a composed metric: its label, c and max/min note.
+
+    A metric whose recipe is ``parent``'s plus one last post transform is
+    printed as derived from it: ``X=sqrt(P)`` or ``X=100*P``.
+    """
     comp = defn.composition
-    parts = [defn.abbreviation]
-    if defn.chart_aka:
-        parts[0] += f" ({', '.join(defn.chart_aka)})"
-    if defn.chart_parent is not None:
-        assert comp is not None
-        if any(p.kind is PostKind.SQRT for p in comp.post):
-            return f"{defn.abbreviation}=sqrt({defn.chart_parent})"
-        return f"{defn.abbreviation}=100*{defn.chart_parent}"
-    if comp is not None and comp.normalizer.kind is not NormKind.UNITARY:
-        parts.append(f"c={comp.normalizer.exponent}")
-    if comp is not None and comp.normalizer.kind is NormKind.BY_MAX:
-        parts.append("max")
-    elif comp is not None and comp.normalizer.kind is NormKind.BY_MIN:
-        parts.append("min")
-    return " ".join(parts)
-
-
-def _chartable(defn: MetricDefinition) -> bool:
-    return (
-        defn.category is Category.PRIMARY
-        and defn.implemented
-        and defn.charted
-        and defn.composition is not None
-        and defn.composition.aggregator.kind in CORE_AGGREGATORS
-        and defn.composition.aggregator.fraction == 0.0
-    )
+    assert comp is not None
+    kind = comp.normalizer.kind
+    c = None if kind is NormKind.UNITARY else comp.normalizer.exponent
+    note = {NormKind.BY_MAX: "max", NormKind.BY_MIN: "min"}.get(kind, "")
+    if parent is not None:
+        shape = "sqrt({})" if comp.post[-1].kind is PostKind.SQRT else "100*{}"
+        label = f"{defn.abbreviation}={shape.format(parent)}"
+    else:
+        label = defn.abbreviation
+        if defn.chart_aka:
+            label += f" ({', '.join(defn.chart_aka)})"
+        if c is not None:
+            label += f" c={c}"
+        if note:
+            label += f" {note}"
+    return CellEntry(defn.abbreviation, label, comp.cell, c, note, parent)
 
 
 def build_chart(definitions: Sequence[MetricDefinition] | None = None) -> ChartGrid:
     """Arrange catalog definitions into the grid.
 
+    Placement follows from the compositions: a composed metric with a
+    core aggregator lands on its cell, a metric with no composition but a
+    pinned ``cell`` is printed there "as printed", and the rest go to the
+    annex.  Parents are looked up in the full catalog.
+
     Raises DuplicateCellClaim when two metrics submit byte-identical
     compositions: a second name for the same recipe is a catalog mistake,
     not a new metric.
     """
+    catalog = list(get_catalog().values())
     if definitions is None:
-        definitions = list(get_catalog().values())
+        definitions = catalog
+    recipes = {d.composition: d.abbreviation for d in catalog if d.composition is not None}
 
     cells: dict[Cell, list[CellEntry]] = {}
     annex: list[AnnexEntry] = []
-    claimed: dict[object, str] = {}
+    claimed: dict[MetricComposition, str] = {}
 
     for defn in sorted(definitions, key=lambda d: d.abbreviation.casefold()):
         if defn.category is not Category.PRIMARY or not defn.implemented:
             continue
         comp = defn.composition
-        if _chartable(defn):
-            assert comp is not None
-            key = (comp.distance, comp.normalizer, comp.aggregator, comp.transform, comp.post)
-            if key in claimed:
-                raise DuplicateCellClaim(
-                    f"{defn.abbreviation} and {claimed[key]} claim the identical "
-                    f"composition in cell {comp.cell}"
-                )
-            claimed[key] = defn.abbreviation
-            entry = CellEntry(
-                abbreviation=defn.abbreviation,
-                label=_entry_label(defn),
-                cell=comp.cell,
-                c=comp.normalizer.exponent if comp.normalizer.kind is not NormKind.UNITARY else None,
-                note="max" if comp.normalizer.kind is NormKind.BY_MAX
-                else "min" if comp.normalizer.kind is NormKind.BY_MIN else "",
-                derived_from=defn.chart_parent,
-            )
-            cells.setdefault(comp.cell, []).append(entry)
-        elif defn.as_printed and defn.cell is not None:
+        if comp is None and defn.cell is not None:
             entry = CellEntry(
                 abbreviation=defn.abbreviation,
                 label=f"{defn.abbreviation} c=-1 (as printed)",
@@ -205,18 +188,25 @@ def build_chart(definitions: Sequence[MetricDefinition] | None = None) -> ChartG
                 note="as printed",
             )
             cells.setdefault(defn.cell, []).append(entry)
-        elif comp is not None and comp.aggregator.kind not in CORE_AGGREGATORS:
+        elif comp is None:
+            annex.append(AnnexEntry(defn.abbreviation, defn.abbreviation, "uncharted"))
+        elif comp.aggregator.kind not in CORE_AGGREGATORS:
             annex.append(AnnexEntry(
                 abbreviation=defn.abbreviation,
                 label=f"{defn.abbreviation} = {comp.aggregator.kind.value}_j[ {_DIST_TERMS[comp.distance]} ]",
                 reason=f"{comp.aggregator.kind.value} aggregator",
             ))
+        elif not defn.charted:
+            annex.append(AnnexEntry(defn.abbreviation, defn.abbreviation, "weighted transform"))
         else:
-            annex.append(AnnexEntry(
-                abbreviation=defn.abbreviation,
-                label=defn.abbreviation,
-                reason="uncharted" if comp is None else "weighted transform",
-            ))
+            if comp in claimed:
+                raise DuplicateCellClaim(
+                    f"{defn.abbreviation} and {claimed[comp]} claim the identical "
+                    f"composition in cell {comp.cell}"
+                )
+            claimed[comp] = defn.abbreviation
+            parent = recipes.get(replace(comp, post=comp.post[:-1])) if comp.post else None
+            cells.setdefault(comp.cell, []).append(_cell_entry(defn, parent))
 
     ordered: dict[Cell, tuple[CellEntry, ...]] = {}
     for cell, entries in sorted(cells.items(), key=_cell_sort_key):

@@ -113,15 +113,19 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     (the header is line 1).  The body is parsed in one NumPy call; a file
     it rejects, or whose rows are shorter than the header, is read again
     row by row, which gives the same numbers and the line-numbered error.
+    Bytes that are not UTF-8 are a ParseError.
     """
-    with _open_text(path) as fh:
-        first = fh.readline()
-        if first and '"' not in first:
-            header = _csv_header(csv.reader([first]), path, columns)
-            table = _parse_body(fh)
-            if table is not None and table.shape[1] >= len(header):
-                return {c: np.ascontiguousarray(table[:, header.index(c)]) for c in columns}
-    return _read_rows(path, columns)
+    try:
+        with _open_text(path) as fh:
+            first = fh.readline()
+            if first and '"' not in first:
+                header = _csv_header(csv.reader([first]), path, columns)
+                table = _parse_body(fh)
+                if table is not None and table.shape[1] >= len(header):
+                    return {c: np.ascontiguousarray(table[:, header.index(c)]) for c in columns}
+        return _read_rows(path, columns)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
@@ -173,6 +177,16 @@ def _overflows(value: int | float) -> bool:
     return False
 
 
+def _json_column(path: str, payload: dict, key: str) -> np.ndarray:
+    """The array under ``key`` of a JSON object as a float vector."""
+    if not isinstance(payload[key], list):
+        raise ParseError(f"{path} key {key!r} must be an array")
+    try:
+        return _json_floats(payload[key], key)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def read_columns_json(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """Read named numeric arrays from a JSON object."""
     payload = _load_json(path)
@@ -182,12 +196,7 @@ def read_columns_json(path: str, columns: Sequence[str]) -> dict[str, np.ndarray
     for c in columns:
         if c not in payload:
             raise ParseError(f"{path} is missing key {c!r}")
-        if not isinstance(payload[c], list):
-            raise ParseError(f"{path} key {c!r} must be an array")
-        try:
-            out[c] = _json_floats(payload[c], c)
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
+        out[c] = _json_column(path, payload, c)
     return out
 
 
@@ -218,7 +227,7 @@ def load_series(path: str, column: str) -> np.ndarray:
         if isinstance(payload, list):
             return _json_floats(payload, column)
         if isinstance(payload, dict) and column in payload:
-            return _json_floats(payload[column], column)
+            return _json_column(path, payload, column)
         raise ParseError(f"{path} must be a JSON array or an object with key {column!r}")
     return read_columns_csv(path, [column])[column]
 

@@ -36,8 +36,6 @@ from .types import (
     SeriesPair,
 )
 
-EXTENDED_METRICS = ("NRMSE_m", "NRMSE_sd", "NRMSE_mm", "NMSE")
-
 # composite abbreviation -> (pipeline base metric, ratio form)
 RELATIVE_FORMS = {
     "RMAE": ("MAE", "ratio"),
@@ -65,8 +63,9 @@ def extended(
     and variance denominators zero, which always fails: there is no
     per-point policy to apply.
     """
-    key = registry.lookup(name).abbreviation
-    if key not in EXTENDED_METRICS:
+    defn = registry.lookup(name)
+    key = defn.abbreviation
+    if defn.category is not registry.Category.EXTENDED:
         raise ValidationError(f"{name!r} is not an extended whole-series metric")
     a = pair.actuals
     if key in ("NRMSE_sd", "NMSE") and pair.n < 2:

@@ -74,9 +74,10 @@ class MetricDefinition:
 
     ``composition`` is None for direct-formula-only metrics; ``formula``
     is None for stubs and for metrics needing external inputs.  ``cell`` is
-    normally the composition's cell but can be pinned for metrics charted
-    at a conventional position (``as_printed``).  ``log_weight`` marks a
-    metric that sums ln(P/A) weighted per point (KLD, JD).
+    normally the composition's cell; one pinned on a metric without a
+    composition is where the chart prints it "as printed".  ``charted``
+    False sends a composed metric to the chart's annex.  ``log_weight``
+    marks a metric that sums ln(P/A) weighted per point (KLD, JD).
     """
 
     abbreviation: str
@@ -89,9 +90,7 @@ class MetricDefinition:
     dimension: Dimension = Dimension.DIMENSIONLESS
     cell: Cell | None = None
     chart_aka: tuple[str, ...] = ()
-    chart_parent: str | None = None
     charted: bool = True
-    as_printed: bool = False
     requires: str | None = None          # None | "benchmark" | "in-sample history"
     log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     notes: str = ""
@@ -196,7 +195,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     defs.append(_primary(
         "MPE", "Mean Percentage Error",
         _comp(Distance.ERROR, _norm(NormKind.BY_ACTUALS), post=(PERCENT_SCALE,)),
-        formulas.mpe, chart_parent="MNB",
+        formulas.mpe,
     ))
     defs.append(_primary(
         "FB", "Fractional Bias",
@@ -234,7 +233,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     defs.append(_primary(
         "MAPE", "Mean Absolute Percentage Error",
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True), post=(PERCENT_SCALE,)),
-        formulas.mape, chart_parent="MARE",
+        formulas.mape,
     ))
     defs.append(_primary(
         "MdAPE", "Median Absolute Percentage Error",
@@ -276,7 +275,6 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0), post=(PERCENT_SCALE,)),
         formulas.smape,
         lambda comp: {**_absolute(comp), "mean-denominator": Variant(comp, {"variant": "mean-denominator"})},
-        chart_parent="FAE",
         notes="mean-denominator variant divides by (A+P)/2, the same quantity",
     ))
     defs.append(_primary(
@@ -303,7 +301,6 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     defs.append(_primary(
         "RMSE", "Root Mean Squared Error",
         _comp(Distance.SQUARED_ERROR, post=(SQRT,)), formulas.rmse,
-        chart_parent="MSE",
     ))
     defs.append(_primary(
         "SSE", "Sum of Squared Errors",
@@ -312,7 +309,6 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     defs.append(_primary(
         "ED", "Euclidean Distance",
         _comp(Distance.SQUARED_ERROR, aggregator=SUM, post=(SQRT,)), formulas.ed,
-        chart_parent="SSE",
     ))
     defs.append(_primary(
         "GRMSE", "Geometric Root Mean Squared Error",
@@ -328,7 +324,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         "RMSPE", "Root Mean Square Percentage Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
               post=(PERCENT_SCALE, SQRT)),
-        formulas.rmspe, _conventional, chart_parent="MSPE",
+        formulas.rmspe, _conventional,
         notes="conventional variant takes the root before scaling to percent",
     ))
     defs.append(_primary(
@@ -341,7 +337,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         "RMdSPE", "Root Median Square Percentage Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
               aggregator=MEDIAN, post=(PERCENT_SCALE, SQRT)),
-        formulas.rmdspe, _conventional, chart_parent="MdSPE",
+        formulas.rmdspe, _conventional,
     ))
     defs.append(_primary(
         "NCSD", "Neyman Chi-Square Distance",
@@ -357,7 +353,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         "RRSE", "Root Relative Squared Error",
         _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_VARIABILITY, exponent=2),
               aggregator=SUM, post=(SQRT,)),
-        formulas.rrse, _options, chart_parent="RSE",
+        formulas.rrse, _options,
     ))
     defs.append(_primary(
         "SquD", "Squared Chi-Square Distance",
@@ -385,14 +381,13 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         composition=None, formula=formulas.kld, log_weight=lambda a, p: p,
         dimension=Dimension.SAME_AS_DATA,
         cell=(Distance.LOG_QUOTIENT, NormKind.BY_ACTUALS, AggKind.SUM),
-        as_printed=True,
         notes="weights each log ratio by the predicted value, so it is charted "
               "at its conventional cell rather than composed from it",
     ))
     defs.append(MetricDefinition(
         "JD", "Jeffreys Divergence", Category.PRIMARY,
         composition=None, formula=formulas.jd, log_weight=lambda a, p: p - a,
-        dimension=Dimension.SAME_AS_DATA, cell=None, charted=False,
+        dimension=Dimension.SAME_AS_DATA,
         notes="weights each log ratio by (P - A); has no core-grid cell",
     ))
 
@@ -424,39 +419,39 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     ):
         defs.append(MetricDefinition(
             abbr, name, Category.EXTENDED, formula=fn, aliases=aliases,
-            dimension=Dimension.DIMENSIONLESS, charted=False,
+            dimension=Dimension.DIMENSIONLESS,
             notes="normalizes by a statistic of the whole actual series",
         ))
 
     # composite: benchmark- and history-relative metrics
     defs.append(MetricDefinition(
         "CoD", "Coefficient of Determination", Category.COMPOSITE,
-        formula=formulas.cod, dimension=Dimension.DIMENSIONLESS, charted=False,
+        formula=formulas.cod, dimension=Dimension.DIMENSIONLESS,
         notes="1 minus the squared-error sum over the total sum of squares",
     ))
     defs.append(MetricDefinition(
         "MASE", "Mean Absolute Scaled Error", Category.COMPOSITE,
-        dimension=Dimension.DIMENSIONLESS, charted=False, requires="in-sample history",
+        dimension=Dimension.DIMENSIONLESS, requires="in-sample history",
         notes="scales MAE by the naive one-step error of the in-sample history",
     ))
     defs.append(MetricDefinition(
         "RMAE", "Relative Mean Absolute Error", Category.COMPOSITE,
-        aliases=("RelMAE",), dimension=Dimension.DIMENSIONLESS, charted=False,
+        aliases=("RelMAE",), dimension=Dimension.DIMENSIONLESS,
         requires="benchmark",
     ))
     defs.append(MetricDefinition(
         "RelRMSE", "Relative Root Mean Square Error", Category.COMPOSITE,
-        aliases=("TheilsU", "U2"), dimension=Dimension.DIMENSIONLESS, charted=False,
+        aliases=("TheilsU", "U2"), dimension=Dimension.DIMENSIONLESS,
         requires="benchmark",
     ))
     defs.append(MetricDefinition(
         "LMR", "Log Mean Squared Error Ratio", Category.COMPOSITE,
-        dimension=Dimension.DIMENSIONLESS, charted=False, requires="benchmark",
+        dimension=Dimension.DIMENSIONLESS, requires="benchmark",
         notes="natural log of the RMSE ratio; negative favors the candidate",
     ))
     defs.append(MetricDefinition(
         "RGRMSE", "Relative Geometric Root Mean Squared Error", Category.COMPOSITE,
-        dimension=Dimension.DIMENSIONLESS, charted=False, requires="benchmark",
+        dimension=Dimension.DIMENSIONLESS, requires="benchmark",
     ))
 
     # catalogued but out of scope
@@ -476,8 +471,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
          "cumulative benchmark-relative form not implemented; see RAE and RMAE"),
     ):
         defs.append(MetricDefinition(
-            abbr, name, category, dimension=Dimension.DIMENSIONLESS,
-            charted=False, stub_reason=reason,
+            abbr, name, category, dimension=Dimension.DIMENSIONLESS, stub_reason=reason,
         ))
 
     catalog: dict[str, MetricDefinition] = {}

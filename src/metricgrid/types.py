@@ -365,20 +365,19 @@ class MetricResult:
 
 @dataclass(frozen=True)
 class BenchmarkInput:
-    """External reference for composite metrics: exactly one source.
+    """External reference for composite metrics: one source or both.
 
     ``benchmark_pair`` holds a second prediction of the same actuals, for
     relative metrics; ``in_sample`` holds the history used to scale MASE.
+    With both, one suite can hold relative metrics and MASE together.
     """
 
     benchmark_pair: SeriesPair | None = None
     in_sample: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.benchmark_pair is None) == (self.in_sample is None):
-            raise ValidationError(
-                "provide exactly one of benchmark_pair or in_sample"
-            )
+        if self.benchmark_pair is None and self.in_sample is None:
+            raise ValidationError("provide benchmark_pair, in_sample or both")
         if self.in_sample is not None:
             arr = _as_series(self.in_sample, "in_sample")
             if arr.size < 2:

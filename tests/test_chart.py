@@ -66,12 +66,16 @@ class TestGridPlacement:
         kld = [e for e in entries if e.abbreviation == "KLD"]
         assert kld and kld[0].note == "as printed"
         assert kld[0].label == "KLD c=-1 (as printed)"
+        printed = [e.abbreviation for es in grid.cells.values() for e in es if e.note == "as printed"]
+        assert printed == ["KLD"]
 
     def test_parent_derived_labels(self, grid):
         labels = [e.label for entries in grid.cells.values() for e in entries]
-        assert "RMSE=sqrt(MSE)" in labels
-        assert "MAPE=100*MARE" in labels
-        assert "MPE=100*MNB" in labels
+        for label in (
+            "RMSE=sqrt(MSE)", "MAPE=100*MARE", "MPE=100*MNB", "sMAPE=100*FAE",
+            "ED=sqrt(SSE)", "RMSPE=sqrt(MSPE)", "RMdSPE=sqrt(MdSPE)", "RRSE=sqrt(RSE)",
+        ):
+            assert label in labels
 
     def test_derived_entries_sort_after_plain_ones(self, grid):
         cell = (Distance("D3"), NormKind.UNITARY, AggKind.MEAN)

@@ -244,3 +244,35 @@ def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
     assert cli.main(["eval", "--input", path, "--metrics", "MAE"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+# --- input the readers reject ---------------------------------------------
+
+CLEAN_CSV = "actual,predicted\n1,2\n2,3\n3,5\n"
+
+
+@pytest.mark.parametrize(
+    "data", [b"act\xffual,predicted\n1,2\n3,3\n", b"actual,predicted\n1,2\n\xff,3\n"],
+    ids=["header", "body"],
+)
+@pytest.mark.parametrize("role", ["input", "in-sample"])
+def test_csv_bytes_not_utf8_exit_2(tmp_path, capsys, data, role):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    clean = write(tmp_path, "in.csv", CLEAN_CSV)
+    if role == "input":
+        argv = ["eval", "--input", str(bad), "--metrics", "MAE"]
+    else:
+        argv = ["eval", "--input", clean, "--metrics", "MASE", "--in-sample", str(bad)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not valid UTF-8: ")
+
+
+def test_json_history_key_holding_a_number_exits_2(tmp_path, capsys):
+    clean = write(tmp_path, "in.csv", CLEAN_CSV)
+    history = write(tmp_path, "history.json", '{"actual": 5}')
+    argv = ["eval", "--input", clean, "--metrics", "MASE", "--in-sample", history]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {history} key 'actual' must be an array\n"

@@ -17,6 +17,8 @@ from metricgrid import (
     PostKind,
     PostTransform,
     SeriesPair,
+    SuiteDefinition,
+    evaluate_suite,
     validate_series_pair,
 )
 from metricgrid.errors import (
@@ -181,12 +183,18 @@ class TestPolicyAndComposition:
 
 
 class TestBenchmarkInput:
-    def test_exactly_one_source(self):
-        pair = validate_series_pair([1, 2], [3, 4])
+    def test_needs_a_source(self):
         with pytest.raises(ValidationError):
             BenchmarkInput()
-        with pytest.raises(ValidationError):
-            BenchmarkInput(benchmark_pair=pair, in_sample=np.array([1.0, 2.0]))
+
+    def test_both_sources_serve_one_suite(self):
+        pair = validate_series_pair([1, 2, 3, 4], [2, 2, 3, 5])        # MAE 0.5
+        bench = validate_series_pair([1, 2, 3, 4], [1, 2, 3, 3])       # MAE 0.25
+        aux = BenchmarkInput(benchmark_pair=bench, in_sample=np.array([1.0, 3.0, 2.0, 5.0]))
+        result = evaluate_suite(pair, SuiteDefinition("both", ("RMAE", "MASE")), aux)
+        assert [(e.name, e.error) for e in result.entries] == [("RMAE", None), ("MASE", None)]
+        # naive in-sample scale: mean of |2|, |-1|, |3| = 2
+        assert [e.result.value for e in result.entries] == [2.0, 0.25]
 
     def test_in_sample_needs_two_points(self):
         with pytest.raises(InsufficientData):
