@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -39,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .types import (
+    ActionLog,
     AggKind,
     Aggregator,
     Dimension,
@@ -60,9 +62,9 @@ from .types import (
 # --- input ingestion -------------------------------------------------------
 
 
-def _open_text(path: str):
+def _open_text(path: str, encoding: str = "utf-8"):
     try:
-        return open(path, encoding="utf-8", newline="")
+        return open(path, encoding=encoding, newline="")
     except OSError as exc:
         raise FileAccess(path, exc.strerror or str(exc)) from exc
 
@@ -113,10 +115,11 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     (the header is line 1).  The body is parsed in one NumPy call; a file
     it rejects, or whose rows are shorter than the header, is read again
     row by row, which gives the same numbers and the line-numbered error.
-    Bytes that are not UTF-8 are a ParseError.
+    A leading UTF-8 byte-order mark is dropped; bytes that are not UTF-8
+    are a ParseError.
     """
     try:
-        with _open_text(path) as fh:
+        with _open_text(path, "utf-8-sig") as fh:
             first = fh.readline()
             if first and '"' not in first:
                 header = _csv_header(csv.reader([first]), path, columns)
@@ -130,7 +133,7 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
 
 def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """The row-by-row reader: blank rows are skipped, short rows rejected."""
-    with _open_text(path) as fh:
+    with _open_text(path, "utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader, path, columns)
         idx = {c: header.index(c) for c in columns}
@@ -471,9 +474,64 @@ def render_report_delimited(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _action_list(obj: Any) -> list[dict[str, Any]]:
+    """An ActionLog as the JSON list it stands for; any other object is
+    refused as ``json.dumps`` refuses it."""
+    if not isinstance(obj, ActionLog):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return [{"action": a.action, "index": a.index} for a in obj]
+
+
+# json.dumps writes the NUL as \u0000, so the placeholder is a string whose
+# rendering is searched for; a report string spelling one is detected below
+_LOG_MARK = "\x00action-log:"
+_LOG_SLOT = re.compile(r'"\\u0000action-log:(\d+)"')
+
+
+def _action_block(log: ActionLog, indent: str) -> str:
+    """What ``json.dumps(..., indent=2, sort_keys=True)`` writes for the
+    log's action list opened at a line indented by ``indent``: one
+    ``str.join`` per run over its indices."""
+    inner, key = indent + "  ", indent + "    "
+    tail = f"\n{inner}}}"
+    runs = []
+    for label, indices in log.runs:
+        head = f'{{\n{key}"action": {json.dumps(label)},\n{key}"index": '
+        runs.append(head + f"{tail},\n{inner}{head}".join(map(str, indices.tolist())) + tail)
+    return f"[\n{inner}" + f",\n{inner}".join(runs) + f"\n{indent}]"
+
+
+def _render_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, with each
+    ActionLog written as its list of ``{"action", "index"}`` objects.
+
+    Every non-empty log is first dumped as a numbered placeholder string;
+    its list is then written at the placeholder's indent without building
+    one dict per action.
+    """
+    logs: list[ActionLog] = []
+
+    def slot(obj: Any) -> Any:
+        if isinstance(obj, ActionLog) and len(obj):
+            logs.append(obj)
+            return f"{_LOG_MARK}{len(logs) - 1}"
+        return _action_list(obj)
+
+    parts = _LOG_SLOT.split(json.dumps(report, indent=2, sort_keys=True, default=slot))
+    if parts[1::2] != [str(i) for i in range(len(logs))]:
+        # a string of the report spells a placeholder: build every list instead
+        return json.dumps(report, indent=2, sort_keys=True, default=_action_list) + "\n"
+    out = []
+    for text, log in zip(parts[::2], logs):
+        line = text[text.rfind("\n") + 1:]
+        out += (text, _action_block(log, " " * (len(line) - len(line.lstrip(" ")))))
+    out += (parts[-1], "\n")
+    return "".join(out)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _render_json(report)
     if fmt == "table":
         return render_report_table(report)
     if fmt == "delimited":

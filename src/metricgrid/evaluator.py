@@ -32,11 +32,11 @@ from .types import (
     LogRatioPolicy,
     MetricComposition,
     MetricResult,
+    NO_ACTIONS,
     NormalizerSpec,
     NormKind,
     PointTransform,
     PointVector,
-    PolicyAction,
     PostKind,
     PostTransform,
     SeriesPair,
@@ -72,13 +72,13 @@ def point_distances(
         ratio = p / a
     bad = ~np.isfinite(ratio) | (ratio <= 0)
     usable = ~bad
-    actions: list[PolicyAction] = []
+    actions = NO_ACTIONS
     if bad.any():
         if policy.nonpositive_log_ratio is LogRatioPolicy.FAIL:
             raise NonpositiveLogRatio(int(np.argmax(bad)))
         if not usable.any():
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
-        actions = [PolicyAction(int(i), SKIP_LOG_RATIO) for i in np.flatnonzero(bad)]
+        actions = actions.with_run(SKIP_LOG_RATIO, np.flatnonzero(bad))
     values = np.log(np.where(bad, 1.0, ratio))
     if kind is Distance.ABS_LOG_QUOTIENT:
         values = np.abs(values)
@@ -120,7 +120,7 @@ def normalize(
     base = _normalizer_base(pair, spec)
     values = points.values
     usable = points.usable.copy()
-    actions = list(points.actions)
+    actions = points.actions
 
     if spec.exponent == -1:
         return PointVector(spec.factor * values * base, usable, actions)
@@ -131,8 +131,7 @@ def normalize(
         if mode is ZeroDenominatorPolicy.FAIL:
             raise ZeroDenominator(int(np.argmax(degenerate)))
         if mode is ZeroDenominatorPolicy.SKIP:
-            for i in np.flatnonzero(degenerate):
-                actions.append(PolicyAction(int(i), SKIP_ZERO_DENOMINATOR))
+            actions = actions.with_run(SKIP_ZERO_DENOMINATOR, np.flatnonzero(degenerate))
             usable &= ~degenerate
             if not usable.any():
                 raise AllPointsSkipped("skip policy removed every point (zero denominators)")
@@ -145,8 +144,7 @@ def normalize(
                         message="epsilon correction impossible: every actual is zero"
                     )
             base = np.where(degenerate, base + eps, base)
-            for i in np.flatnonzero(degenerate):
-                actions.append(PolicyAction(int(i), EPSILON_CORRECTED))
+            actions = actions.with_run(EPSILON_CORRECTED, np.flatnonzero(degenerate))
             degenerate = usable & (np.abs(base) < NEAR_ZERO)
             if degenerate.any():
                 raise ZeroDenominator(int(np.argmax(degenerate)))
@@ -168,7 +166,7 @@ def apply_point_transform(
     if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
         # sign(0) = 0: a perfect point contributes nothing to the bias
         values = np.sign(pair.predicted - pair.actuals) * values
-    return PointVector(values, points.usable, list(points.actions))
+    return PointVector(values, points.usable, points.actions)
 
 
 def aggregate(
@@ -194,7 +192,8 @@ def aggregate(
     if kind is AggKind.GEOMETRIC_MEAN:
         if (v <= 0).any():
             raise GeometricMeanDomain()
-        product = float(np.prod(v))
+        with np.errstate(over="ignore", under="ignore"):
+            product = float(np.prod(v))
         if 0.0 < product < np.inf:
             return float(product ** (1.0 / m))
         # the running product left double range; the log form cannot
@@ -270,5 +269,5 @@ def evaluate(
         dimension=dimension_of(comp),
         points_total=pv.n,
         points_skipped=pv.n - pv.n_usable,
-        policy_actions=tuple(pv.actions),
+        actions=pv.actions,
     )

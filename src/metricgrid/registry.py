@@ -592,7 +592,7 @@ def evaluate_named(
         pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
         weights = defn.log_weight(pair.actuals, pair.predicted)
         value = float(np.sum(weights[pv.usable] * pv.values[pv.usable]))
-        return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, tuple(pv.actions))
+        return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, pv.actions)
     value = defn.direct(pair.actuals, pair.predicted, policy, variant)
     return MetricResult(float(value), defn.dimension, pair.n, 0, ())
 

@@ -9,9 +9,12 @@ instance you can obtain satisfies its invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -311,17 +314,91 @@ class PolicyAction:
     action: str
 
 
+class ActionLog:
+    """Policy interventions as ``(label, index array)`` runs, in the order taken.
+
+    ``len()`` counts interventions and iteration yields one ``PolicyAction``
+    per point, built on demand.  A run is never followed by another of the
+    same label, so two logs holding the same actions compare equal.  The
+    index arrays are read-only and the log is never changed in place:
+    ``with_run`` returns a new log.
+    """
+
+    __slots__ = ("runs", "_size")
+
+    def __init__(self, runs: Iterable[tuple[str, np.ndarray]] = ()) -> None:
+        merged: list[tuple[str, np.ndarray]] = []
+        for label, indices in runs:
+            indices = np.array(indices, dtype=np.intp)
+            if not indices.size:
+                continue
+            if merged and merged[-1][0] == label:
+                indices = np.concatenate((merged[-1][1], indices))
+                merged.pop()
+            indices.setflags(write=False)
+            merged.append((label, indices))
+        self.runs: tuple[tuple[str, np.ndarray], ...] = tuple(merged)
+        self._size = sum(indices.size for _, indices in merged)
+
+    @classmethod
+    def of(cls, actions: "ActionLog | Iterable[PolicyAction]") -> "ActionLog":
+        """The log itself, or a sequence of ``PolicyAction`` grouped into runs."""
+        if isinstance(actions, ActionLog):
+            return actions
+        runs = [
+            (label, np.array([a.index for a in group], dtype=np.intp))
+            for label, group in groupby(actions, key=attrgetter("action"))
+        ]
+        return cls(runs) if runs else NO_ACTIONS
+
+    def with_run(self, label: str, indices: np.ndarray) -> "ActionLog":
+        """This log followed by ``label`` at each of ``indices``."""
+        if not len(indices):
+            return self
+        return ActionLog((*self.runs, (label, indices)))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[PolicyAction]:
+        for label, indices in self.runs:
+            for i in indices.tolist():
+                yield PolicyAction(i, label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActionLog):
+            return NotImplemented
+        return len(self.runs) == len(other.runs) and all(
+            la == lb and np.array_equal(ia, ib)
+            for (la, ia), (lb, ib) in zip(self.runs, other.runs)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple((label, indices.tobytes()) for label, indices in self.runs))
+
+    def __repr__(self) -> str:
+        runs = ", ".join(f"{label}: {indices.size}" for label, indices in self.runs)
+        return f"ActionLog({runs})"
+
+
+NO_ACTIONS = ActionLog()
+
+
 @dataclass
 class PointVector:
     """Intermediate per-point values plus a usability mask.
 
     ``usable`` marks points still participating; skipped indices keep a
-    placeholder value and a recorded reason in ``actions``.
+    placeholder value and a recorded reason in ``actions``.  A sequence of
+    ``PolicyAction`` given as ``actions`` becomes an ``ActionLog``.
     """
 
     values: np.ndarray
     usable: np.ndarray
-    actions: list[PolicyAction] = field(default_factory=list)
+    actions: ActionLog = NO_ACTIONS
+
+    def __post_init__(self) -> None:
+        self.actions = ActionLog.of(self.actions)
 
     @property
     def n(self) -> int:
@@ -340,26 +417,39 @@ class MetricResult:
     """Outcome of one metric evaluation.
 
     ``degenerate`` is True exactly when the policy intervened somewhere;
-    a non-degenerate result is always a plain finite number.
+    a non-degenerate result is always a plain finite number.  ``actions``
+    holds the interventions as an ``ActionLog``; a sequence of
+    ``PolicyAction`` given there is converted.  ``policy_actions`` is the
+    same record as a tuple of ``PolicyAction``, built on first access.
     """
 
     value: float
     dimension: Dimension
     points_total: int
     points_skipped: int
-    policy_actions: tuple[PolicyAction, ...] = ()
+    actions: ActionLog = NO_ACTIONS
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", ActionLog.of(self.actions))
+
+    @cached_property
+    def policy_actions(self) -> tuple[PolicyAction, ...]:
+        return tuple(self.actions)
 
     @property
     def degenerate(self) -> bool:
-        return self.points_skipped > 0 or len(self.policy_actions) > 0
+        return self.points_skipped > 0 or len(self.actions) > 0
 
     def to_record(self) -> dict[str, Any]:
+        """The report entry; ``actions`` is the ActionLog, which
+        ``cli.render_report`` writes as a list of ``{"action", "index"}``
+        objects."""
         return {
             "value": self.value,
             "dimension": self.dimension.value,
             "points_total": self.points_total,
             "points_skipped": self.points_skipped,
-            "actions": [{"index": a.index, "action": a.action} for a in self.policy_actions],
+            "actions": self.actions,
         }
 
 

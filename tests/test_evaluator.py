@@ -17,6 +17,7 @@ from metricgrid import (
     PostKind,
     PostTransform,
     ZeroDenominatorPolicy,
+    evaluate_named,
     validate_series_pair,
 )
 from metricgrid.evaluator import (
@@ -240,6 +241,18 @@ class TestAggregate:
     def test_geometric_mean_domain(self, values):
         with pytest.raises(GeometricMeanDomain):
             aggregate(vector(values), Aggregator(AggKind.GEOMETRIC_MEAN))
+
+    def test_geometric_mean_of_5000_points_warns_nothing(self):
+        # ~10% errors on values near 100 multiply past the double range, so
+        # the log form gives the value; the overflow must not leak a warning
+        rng = np.random.default_rng(5)
+        a = rng.uniform(50.0, 150.0, 5000)
+        pair = validate_series_pair(a, a * (1.0 + rng.normal(0.0, 0.1, 5000)))
+        errors = np.abs(pair.actuals - pair.predicted)
+        with np.errstate(over="ignore"):
+            assert math.isinf(np.prod(errors))
+        got = evaluate_named(pair, "GMAE").value
+        assert got == float(np.exp(np.mean(np.log(errors))))
 
     def test_harmonic_mean(self):
         got = aggregate(vector([1, 2, 4]), Aggregator(AggKind.HARMONIC_MEAN))

@@ -276,3 +276,25 @@ def test_json_history_key_holding_a_number_exits_2(tmp_path, capsys):
     argv = ["eval", "--input", clean, "--metrics", "MASE", "--in-sample", history]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {history} key 'actual' must be an array\n"
+
+
+@pytest.mark.parametrize(
+    "body", [CLEAN_CSV, 'actual,"predicted"\n1,2\n2,3\n3,5\n'], ids=["numpy", "row-by-row"]
+)
+@pytest.mark.parametrize("role", ["input", "in-sample"])
+def test_csv_byte_order_mark_is_dropped(tmp_path, capsys, body, role):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    plain = write(tmp_path, "plain.csv", body)
+    assert outcome(cli.read_columns_csv, str(marked), ["actual", "predicted"]) == outcome(
+        cli.read_columns_csv, plain, ["actual", "predicted"])
+
+    def value(path):
+        if role == "input":
+            argv = ["eval", "--input", path, "--metrics", "MAE"]
+        else:
+            argv = ["eval", "--input", plain, "--metrics", "MASE", "--in-sample", path]
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)["metrics"][0]["value"]
+
+    assert value(str(marked)) == value(plain)
