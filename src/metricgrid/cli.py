@@ -62,9 +62,10 @@ from .types import (
 # --- input ingestion -------------------------------------------------------
 
 
-def _open_text(path: str, encoding: str = "utf-8"):
+def _open_text(path: str):
+    """The file as UTF-8 text; a leading byte-order mark is dropped."""
     try:
-        return open(path, encoding=encoding, newline="")
+        return open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise FileAccess(path, exc.strerror or str(exc)) from exc
 
@@ -119,7 +120,7 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     are a ParseError.
     """
     try:
-        with _open_text(path, "utf-8-sig") as fh:
+        with _open_text(path) as fh:
             first = fh.readline()
             if first and '"' not in first:
                 header = _csv_header(csv.reader([first]), path, columns)
@@ -133,7 +134,7 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
 
 def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """The row-by-row reader: blank rows are skipped, short rows rejected."""
-    with _open_text(path, "utf-8-sig") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader, path, columns)
         idx = {c: header.index(c) for c in columns}

@@ -75,6 +75,14 @@ class NonpositiveLogRatio(EvaluationError):
         )
 
 
+class DistanceOverflow(EvaluationError):
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(
+            f"point distance at index {index} overflows the floating-point range"
+        )
+
+
 class AllPointsSkipped(EvaluationError):
     def __init__(self, message: str = "skip policy removed every point"):
         super().__init__(message)
@@ -112,6 +120,12 @@ class LogDomain(EvaluationError):
     def __init__(self, value: float):
         self.value = value
         super().__init__(f"logarithm undefined for non-positive aggregate {value!r}")
+
+
+class NonFiniteResult(EvaluationError):
+    def __init__(self, value: float):
+        self.value = value
+        super().__init__(f"metric value {value!r} is not a finite number")
 
 
 # --- catalog and composite routing --------------------------------------

@@ -4,6 +4,12 @@ Every composed metric is computed the same way: per-point distances,
 normalization with degeneracy policy, an optional per-point transform,
 aggregation to a scalar, then post-transforms.  The stages are exposed
 individually so compositions can be inspected or reused piecemeal.
+
+No stage writes to its inputs: arithmetic runs in place only on arrays
+the stage itself allocated in that call.  A clean vector, one where every
+point is usable, carries its pair's one read-only all-True mask
+(``SeriesPair.all_points``), so clean data is never masked, gathered or
+copied; masks are built only where the policy touches a point.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import numpy as np
 
 from .errors import (
     AllPointsSkipped,
+    DistanceOverflow,
     EmptyAggregation,
     GeometricMeanDomain,
     HarmonicMeanDomain,
@@ -48,6 +55,8 @@ SKIP_LOG_RATIO = "skipped:nonpositive-log-ratio"
 SKIP_ZERO_DENOMINATOR = "skipped:zero-denominator"
 EPSILON_CORRECTED = "epsilon-corrected"
 
+_ERROR_DISTANCES = (Distance.ERROR, Distance.ABSOLUTE_ERROR, Distance.SQUARED_ERROR)
+
 
 def point_distances(
     pair: SeriesPair,
@@ -58,48 +67,81 @@ def point_distances(
 
     The log-quotient distances are undefined wherever predicted/actual is
     not a positive finite number; those points either fail or are skipped
-    according to ``policy.nonpositive_log_ratio``.
+    according to ``policy.nonpositive_log_ratio``.  An error distance that
+    leaves the floating-point range raises DistanceOverflow.
     """
     a, p = pair.actuals, pair.predicted
-    if kind is Distance.ERROR:
-        return PointVector(a - p, np.ones(pair.n, dtype=bool))
-    if kind is Distance.ABSOLUTE_ERROR:
-        return PointVector(np.abs(a - p), np.ones(pair.n, dtype=bool))
-    if kind is Distance.SQUARED_ERROR:
-        return PointVector((a - p) ** 2, np.ones(pair.n, dtype=bool))
+    if kind in _ERROR_DISTANCES:
+        with np.errstate(over="ignore"):
+            d = a - p
+            if kind is Distance.ABSOLUTE_ERROR:
+                np.abs(d, out=d)
+            elif kind is Distance.SQUARED_ERROR:
+                np.square(d, out=d)
+        finite = np.isfinite(d)
+        if not finite.all():
+            raise DistanceOverflow(int(np.argmin(finite)))
+        return PointVector(d, pair.all_points)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = p / a
-    bad = ~np.isfinite(ratio) | (ratio <= 0)
-    usable = ~bad
+    usable = (ratio > 0) & (ratio < np.inf)
     actions = NO_ACTIONS
-    if bad.any():
+    if usable.all():
+        usable = pair.all_points
+    else:
         if policy.nonpositive_log_ratio is LogRatioPolicy.FAIL:
-            raise NonpositiveLogRatio(int(np.argmax(bad)))
+            raise NonpositiveLogRatio(int(np.argmin(usable)))
         if not usable.any():
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
+        bad = ~usable
         actions = actions.with_run(SKIP_LOG_RATIO, np.flatnonzero(bad))
-    values = np.log(np.where(bad, 1.0, ratio))
+        ratio[bad] = 1.0
+    values = np.log(ratio, out=ratio)
     if kind is Distance.ABS_LOG_QUOTIENT:
-        values = np.abs(values)
+        np.abs(values, out=values)
     return PointVector(values, usable, actions)
 
 
 def _normalizer_base(pair: SeriesPair, spec: NormalizerSpec) -> np.ndarray:
+    """The base before its exponent; the read-only actuals themselves for
+    plain BY_ACTUALS, otherwise a new array."""
     a, p = pair.actuals, pair.predicted
     if spec.kind is NormKind.BY_ACTUALS:
-        return np.abs(a) if spec.absolute else a.copy()
+        return np.abs(a) if spec.absolute else a
     if spec.kind is NormKind.BY_VARIABILITY:
         dev = a - a.mean()
-        return np.abs(dev) if spec.absolute else dev
+        return np.abs(dev, out=dev) if spec.absolute else dev
     if spec.kind is NormKind.BY_SUM:
+        if not spec.absolute:
+            return a + p
         # absolute variant sums magnitudes, it is not |A + P|
-        return np.abs(a) + np.abs(p) if spec.absolute else a + p
+        base = np.abs(a)
+        base += np.abs(p)
+        return base
     if spec.kind is NormKind.BY_MAX:
         return np.maximum(a, p)
     if spec.kind is NormKind.BY_MIN:
         return np.minimum(a, p)
     raise AssertionError(f"unexpected normalizer kind {spec.kind!r}")
+
+
+def _near_zero(base: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
+    """Mask of the usable points whose base is near zero, or None when
+    there is none.  No mask is built when the extremes of the base show
+    that every point is clear of zero."""
+    if base.min() >= NEAR_ZERO or base.max() <= -NEAR_ZERO:
+        return None
+    degenerate = usable & (np.abs(base) < NEAR_ZERO)
+    return degenerate if degenerate.any() else None
+
+
+def _scaled(op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray) -> np.ndarray:
+    """op(factor * values, other) as one new array; ``values`` is not written."""
+    if factor == 1.0:
+        return op(values, other)
+    out = np.multiply(values, factor)
+    return op(out, other, out=out)
 
 
 def normalize(
@@ -118,21 +160,22 @@ def normalize(
     if spec.kind is NormKind.UNITARY:
         return points
     base = _normalizer_base(pair, spec)
-    values = points.values
-    usable = points.usable.copy()
+    usable = points.usable
     actions = points.actions
 
     if spec.exponent == -1:
-        return PointVector(spec.factor * values * base, usable, actions)
+        return PointVector(_scaled(np.multiply, points.values, spec.factor, base), usable, actions)
 
-    degenerate = usable & (np.abs(base) < NEAR_ZERO)
-    if degenerate.any():
+    clean = points.clean
+    degenerate = _near_zero(base, usable)
+    if degenerate is not None:
         mode = policy.zero_denominator
         if mode is ZeroDenominatorPolicy.FAIL:
             raise ZeroDenominator(int(np.argmax(degenerate)))
         if mode is ZeroDenominatorPolicy.SKIP:
             actions = actions.with_run(SKIP_ZERO_DENOMINATOR, np.flatnonzero(degenerate))
-            usable &= ~degenerate
+            usable = usable & ~degenerate
+            clean = False
             if not usable.any():
                 raise AllPointsSkipped("skip policy removed every point (zero denominators)")
         else:
@@ -145,13 +188,18 @@ def normalize(
                     )
             base = np.where(degenerate, base + eps, base)
             actions = actions.with_run(EPSILON_CORRECTED, np.flatnonzero(degenerate))
-            degenerate = usable & (np.abs(base) < NEAR_ZERO)
-            if degenerate.any():
+            degenerate = _near_zero(base, usable)
+            if degenerate is not None:
                 raise ZeroDenominator(int(np.argmax(degenerate)))
 
-    denom = base ** 2 if spec.exponent == 2 else base
-    safe = np.where(usable, denom, 1.0)
-    return PointVector(spec.factor * np.where(usable, values, 0.0) / safe, usable, actions)
+    if spec.exponent == 2:
+        # squared in place unless the base is the pair's own actuals
+        base = np.square(base, out=None if base is pair.actuals else base)
+    if clean:
+        return PointVector(_scaled(np.divide, points.values, spec.factor, base), usable, actions)
+    values = np.where(usable, points.values, 0.0)
+    safe = np.where(usable, base, 1.0)
+    return PointVector(_scaled(np.divide, values, spec.factor, safe), usable, actions)
 
 
 def apply_point_transform(
@@ -165,7 +213,8 @@ def apply_point_transform(
     values = np.expm1(points.values)
     if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
         # sign(0) = 0: a perfect point contributes nothing to the bias
-        values = np.sign(pair.predicted - pair.actuals) * values
+        sign = pair.predicted - pair.actuals
+        values *= np.sign(sign, out=sign)
     return PointVector(values, points.usable, points.actions)
 
 
@@ -190,7 +239,7 @@ def aggregate(
     if kind is AggKind.MEDIAN:
         return float(np.median(v))
     if kind is AggKind.GEOMETRIC_MEAN:
-        if (v <= 0).any():
+        if v.min() <= 0:
             raise GeometricMeanDomain()
         with np.errstate(over="ignore", under="ignore"):
             product = float(np.prod(v))

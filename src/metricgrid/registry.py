@@ -591,7 +591,9 @@ def evaluate_named(
     if defn.log_weight is not None:
         pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
         weights = defn.log_weight(pair.actuals, pair.predicted)
-        value = float(np.sum(weights[pv.usable] * pv.values[pv.usable]))
+        if not pv.clean:
+            weights = weights[pv.usable]
+        value = float(np.sum(weights * pv.usable_values()))
         return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, pv.actions)
     value = defn.direct(pair.actuals, pair.predicted, policy, variant)
     return MetricResult(float(value), defn.dimension, pair.n, 0, ())

@@ -9,6 +9,7 @@ instance you can obtain satisfies its invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -22,6 +23,7 @@ from .errors import (
     EmptySeries,
     InsufficientData,
     LengthMismatch,
+    NonFiniteResult,
     NonFiniteValue,
     ValidationError,
 )
@@ -289,6 +291,13 @@ class SeriesPair:
     def n(self) -> int:
         return int(self.actuals.size)
 
+    @cached_property
+    def all_points(self) -> np.ndarray:
+        """Read-only all-True mask, shared by every clean PointVector of the pair."""
+        mask = np.ones(self.n, dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
     def swapped(self) -> "SeriesPair":
         """Pair with the roles of actual and predicted exchanged."""
         return SeriesPair(self.predicted, self.actuals)
@@ -408,18 +417,26 @@ class PointVector:
     def n_usable(self) -> int:
         return int(np.count_nonzero(self.usable))
 
+    @property
+    def clean(self) -> bool:
+        """True when every point is usable."""
+        return self.n_usable == self.n
+
     def usable_values(self) -> np.ndarray:
-        return self.values[self.usable]
+        """Values of the usable points: ``values`` itself when the vector
+        is clean, so the caller must not write to it."""
+        return self.values if self.clean else self.values[self.usable]
 
 
 @dataclass(frozen=True)
 class MetricResult:
     """Outcome of one metric evaluation.
 
-    ``degenerate`` is True exactly when the policy intervened somewhere;
-    a non-degenerate result is always a plain finite number.  ``actions``
-    holds the interventions as an ``ActionLog``; a sequence of
-    ``PolicyAction`` given there is converted.  ``policy_actions`` is the
+    ``value`` is always a finite number: construction refuses anything
+    else with NonFiniteResult.  ``degenerate`` is True exactly when the
+    policy intervened somewhere.  ``actions`` holds the interventions as
+    an ``ActionLog``; a sequence of ``PolicyAction`` given there is
+    converted.  ``policy_actions`` is the
     same record as a tuple of ``PolicyAction``, built on first access.
     """
 
@@ -430,6 +447,8 @@ class MetricResult:
     actions: ActionLog = NO_ACTIONS
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise NonFiniteResult(self.value)
         object.__setattr__(self, "actions", ActionLog.of(self.actions))
 
     @cached_property

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -498,3 +499,17 @@ class TestSuites:
         code, out, _ = run(capsys, "suites", "--config", str(cfg))
         assert code == 0
         assert "mine: MAE" in out
+
+
+def test_overflowing_distance_is_an_error_entry(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"actual": [1e308, -1e308, 1], "predicted": [-1e308, 1e308, 2]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--input", str(path), "--metrics", "MAE,RMSE,ME")
+    assert code == 1
+    assert "Infinity" not in out and "NaN" not in out
+    entries = json.loads(out)["metrics"]
+    assert [e["error"]["type"] for e in entries] == ["DistanceOverflow"] * 3
+    assert all("index 0" in e["error"]["message"] for e in entries)
+    assert err == ""

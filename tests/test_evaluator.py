@@ -1,4 +1,9 @@
+import json
 import math
+import random
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +23,10 @@ from metricgrid import (
     PostTransform,
     ZeroDenominatorPolicy,
     evaluate_named,
+    registry,
     validate_series_pair,
 )
+from metricgrid.derived import evaluate_metric
 from metricgrid.evaluator import (
     aggregate,
     apply_point_transform,
@@ -28,12 +35,15 @@ from metricgrid.evaluator import (
     normalize,
     point_distances,
 )
-from metricgrid.types import PointVector
+from metricgrid.types import MetricResult, PointVector
 from metricgrid.errors import (
     AllPointsSkipped,
+    DistanceOverflow,
+    MetricError,
     EmptyAggregation,
     GeometricMeanDomain,
     HarmonicMeanDomain,
+    NonFiniteResult,
     NonpositiveLogRatio,
     SqrtDomain,
     ZeroDenominator,
@@ -338,6 +348,40 @@ class TestEvaluate:
             assert evaluate(pair, comp).value == 0.0
 
 
+class TestOverflow:
+    """Finite inputs whose distances leave double range raise, without a warning."""
+
+    HUGE = validate_series_pair([1e308, -1e308, 1], [-1e308, 1e308, 2])
+
+    @pytest.mark.parametrize(
+        "kind", [Distance.ERROR, Distance.ABSOLUTE_ERROR, Distance.SQUARED_ERROR]
+    )
+    def test_distance_names_the_first_overflowing_point(self, kind):
+        with pytest.raises(DistanceOverflow) as info:
+            point_distances(self.HUGE, kind)
+        assert info.value.index == 0
+
+    def test_square_of_a_finite_error_can_overflow(self):
+        pair = validate_series_pair([1.0, 1e200, -1e200], [2.0, -1e200, 1e200])
+        assert point_distances(pair, Distance.ABSOLUTE_ERROR).values[1] == 2e200
+        with pytest.raises(DistanceOverflow) as info:
+            point_distances(pair, Distance.SQUARED_ERROR)
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("name", ["MAE", "RMSE", "ME", "MSE", "MaxAE"])
+    def test_named_metric_raises_without_warning(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistanceOverflow):
+                evaluate_named(self.HUGE, name)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_result_refuses_a_value_that_is_not_finite(self, value):
+        with pytest.raises(NonFiniteResult) as info:
+            MetricResult(value, Dimension.SAME_AS_DATA, 3, 0)
+        assert info.value.value is value
+
+
 class TestDimensionRules:
     @pytest.mark.parametrize(
         "comp,expected",
@@ -377,3 +421,94 @@ class TestDimensionRules:
     )
     def test_dimension_of(self, comp, expected):
         assert dimension_of(comp) is expected
+
+
+# --- bit pin ------------------------------------------------------------
+#
+# Every implemented catalog name and variant, run on seeded pairs, must give
+# the bits, skip counts and policy runs recorded in data/evaluator_bits.json.
+# Regenerate the file (only for a deliberate change of values) with
+#     python tests/test_evaluator.py > tests/data/evaluator_bits.json
+
+BITS_PATH = Path(__file__).parent / "data" / "evaluator_bits.json"
+BIT_MEMBERS = [(d.abbreviation, v) for d in registry.list_metrics() for v in (None, *d.variants)]
+BIT_SCENARIOS = {
+    "clean-fail": ("clean", EvaluationPolicy()),
+    "degenerate-skip": (
+        "degenerate",
+        EvaluationPolicy(ZeroDenominatorPolicy.SKIP, LogRatioPolicy.SKIP),
+    ),
+    "degenerate-epsilon": (
+        "degenerate",
+        EvaluationPolicy(ZeroDenominatorPolicy.EPSILON, LogRatioPolicy.SKIP),
+    ),
+}
+
+
+def seeded_inputs(kind, n=300):
+    """Pair, benchmark pair and history from Python's own generator, so the
+    data does not depend on the NumPy version.
+
+    The clean pair has no degenerate point for any family.  The degenerate
+    one has zero actuals, negative predictions, exact predictions and
+    predictions equal to minus the actual.
+    """
+    rng = random.Random(20261018 + (kind == "degenerate"))
+    a = [rng.uniform(1.0, 100.0) for _ in range(n)]
+    p = [x * rng.uniform(0.7, 1.3) for x in a]
+    b = [x * rng.uniform(0.6, 1.4) for x in a]
+    if kind == "degenerate":
+        for i in range(n):
+            r = rng.random()
+            if r < 0.10:
+                a[i] = 0.0
+            elif r < 0.15:
+                p[i] = -p[i]
+            elif r < 0.20:
+                p[i] = a[i]
+            elif r < 0.22:
+                p[i] = -a[i]
+    history = [rng.uniform(1.0, 100.0) for _ in range(50)]
+    return validate_series_pair(a, p), validate_series_pair(a, b), np.array(history)
+
+
+def bit_outcomes():
+    """{scenario: {member: [value hex, points skipped, runs] or error type}}."""
+    out = {}
+    for scenario, (kind, policy) in BIT_SCENARIOS.items():
+        pair, bench, history = seeded_inputs(kind)
+        rows = out[scenario] = {}
+        for abbr, variant in BIT_MEMBERS:
+            label = f"{abbr}:{variant}" if variant else abbr
+            try:
+                result, _ = evaluate_metric(pair, abbr, policy, variant, bench, history)
+            except MetricError as exc:
+                rows[label] = type(exc).__name__
+                continue
+            runs = [[name, indices.tolist()] for name, indices in result.actions.runs]
+            rows[label] = [result.value.hex(), result.points_skipped, runs]
+    return out
+
+
+def test_catalog_bits_are_pinned():
+    want = json.loads(BITS_PATH.read_text(encoding="utf-8"))
+    got = bit_outcomes()
+    assert sorted(got) == sorted(want)
+    for scenario in want:
+        assert got[scenario] == want[scenario], scenario
+    # the pin covers values, skips and policy runs of both kinds
+    clean, skip = want["clean-fail"], want["degenerate-skip"]
+    assert all(isinstance(row, list) and row[1] == 0 and row[2] == [] for row in clean.values())
+    labels = {name for row in skip.values() if isinstance(row, list) for name, _ in row[2]}
+    assert labels == {"skipped:nonpositive-log-ratio", "skipped:zero-denominator"}
+    assert any(isinstance(row, str) for row in skip.values())
+
+
+if __name__ == "__main__":
+    outcomes = bit_outcomes()
+    sys.stdout.write("{\n" + ",\n".join(
+        f"{json.dumps(scenario)}: {{\n" + ",\n".join(
+            f" {json.dumps(label)}: {json.dumps(row)}" for label, row in rows.items()
+        ) + "\n}"
+        for scenario, rows in outcomes.items()
+    ) + "\n}\n")

@@ -298,3 +298,42 @@ def test_csv_byte_order_mark_is_dropped(tmp_path, capsys, body, role):
         return json.loads(capsys.readouterr().out)["metrics"][0]["value"]
 
     assert value(str(marked)) == value(plain)
+
+
+CLEAN_JSON = '{"actual": [1, 2, 3], "predicted": [2, 3, 5]}'
+
+
+@pytest.mark.parametrize("role", ["input", "in-sample"])
+def test_json_byte_order_mark_is_dropped(tmp_path, capsys, role):
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + CLEAN_JSON.encode())
+    plain = write(tmp_path, "plain.json", CLEAN_JSON)
+    assert outcome(cli.read_columns_json, str(marked), ["actual", "predicted"]) == outcome(
+        cli.read_columns_json, plain, ["actual", "predicted"])
+    assert outcome(cli.load_series, str(marked), "actual") == outcome(
+        cli.load_series, plain, "actual")
+
+    def value(path):
+        if role == "input":
+            argv = ["eval", "--input", path, "--metrics", "MAE"]
+        else:
+            argv = ["eval", "--input", plain, "--metrics", "MASE", "--in-sample", path]
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)["metrics"][0]["value"]
+
+    assert value(str(marked)) == value(plain)
+
+
+def test_config_byte_order_mark_is_dropped(tmp_path, capsys):
+    data = write(tmp_path, "in.json", CLEAN_JSON)
+    config = json.dumps({"input": data, "metrics": ["MAE", "RMSE"]})
+    marked = tmp_path / "marked-config.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + config.encode())
+    plain = write(tmp_path, "config.json", config)
+    assert cli.load_config(str(marked)) == cli.load_config(plain)
+
+    def report(path):
+        assert cli.main(["eval", "--config", path]) == 0
+        return capsys.readouterr().out
+
+    assert report(str(marked)) == report(plain)

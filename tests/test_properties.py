@@ -6,13 +6,18 @@ from hypothesis import strategies as st
 
 from conftest import rel_close
 from metricgrid import formulas as F
-from metricgrid.evaluator import aggregate, point_distances
+from metricgrid.errors import MetricError
+from metricgrid.evaluator import aggregate, apply_point_transform, normalize, point_distances
 from metricgrid.registry import composed_definitions, evaluate_named
 from metricgrid.types import (
     Aggregator,
     AggKind,
     Distance,
     EvaluationPolicy,
+    LogRatioPolicy,
+    NormalizerSpec,
+    NormKind,
+    PointTransform,
     PointVector,
     SeriesPair,
     ZeroDenominatorPolicy,
@@ -196,3 +201,80 @@ class TestDivergence:
             pipeline = evaluate_named(pair, name).value
             direct = getattr(F, name.lower().replace("_", ""))(pair.actuals, pair.predicted)
             assert rel_close(pipeline, direct), name
+
+
+# --- stages never write their inputs ---------------------------------------
+
+STAGE_POLICIES = [
+    EvaluationPolicy(),
+    EvaluationPolicy(ZeroDenominatorPolicy.SKIP, LogRatioPolicy.SKIP),
+    EvaluationPolicy(ZeroDenominatorPolicy.EPSILON, LogRatioPolicy.SKIP),
+]
+NORMALIZERS = [NormalizerSpec(NormKind.UNITARY)] + [
+    NormalizerSpec(kind, exponent, absolute, factor)
+    for kind in NormKind if kind is not NormKind.UNITARY
+    for exponent in (-1, 1, 2)
+    for absolute in ((False,) if kind in (NormKind.BY_MAX, NormKind.BY_MIN) else (False, True))
+    for factor in (1.0, 2.0)
+]
+AGGREGATORS = [Aggregator(kind) for kind in AggKind if kind not in (
+    AggKind.TRUNCATED_MEAN, AggKind.WINSORIZED_MEAN)] + [
+    Aggregator(AggKind.TRUNCATED_MEAN, 0.2), Aggregator(AggKind.WINSORIZED_MEAN, 0.2)]
+
+degenerate_value = st.one_of(st.just(0.0), st.floats(-50.0, 50.0, allow_nan=False, width=16))
+
+
+@st.composite
+def stage_pairs(draw):
+    """Clean positive pairs, or pairs with zeros, sign changes and exact points."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    value = draw(st.sampled_from([positive_value, degenerate_value]))
+    a = draw(st.lists(value, min_size=n, max_size=n))
+    p = draw(st.lists(value, min_size=n, max_size=n))
+    return SeriesPair(a, p)
+
+
+def read_only(points: PointVector) -> tuple[PointVector, list[tuple[np.ndarray, bytes]]]:
+    """A copy of the vector whose arrays cannot be written, plus their bytes."""
+    values, usable = points.values.copy(), points.usable.copy()
+    values.setflags(write=False)
+    usable.setflags(write=False)
+    return PointVector(values, usable, points.actions), [
+        (values, values.tobytes()), (usable, usable.tobytes())]
+
+
+def unchanged(kept: list[tuple[np.ndarray, bytes]]) -> bool:
+    return all(arr.tobytes() == data for arr, data in kept)
+
+
+class TestStagesDoNotWriteInputs:
+    @given(stage_pairs(), st.sampled_from(STAGE_POLICIES))
+    @settings(max_examples=60, deadline=None)
+    def test_no_stage_writes_a_callers_array(self, pair, policy):
+        kept = [(pair.actuals, pair.actuals.tobytes()), (pair.predicted, pair.predicted.tobytes())]
+        assert not pair.actuals.flags.writeable and not pair.predicted.flags.writeable
+        # overflow in a stage is not what this checks
+        with np.errstate(all="ignore"):
+            for distance in Distance:
+                try:
+                    distances = point_distances(pair, distance, policy)
+                except MetricError:
+                    continue
+                distances, kept_distances = read_only(distances)
+                for spec in NORMALIZERS:
+                    try:
+                        normed = normalize(distances, pair, spec, policy)
+                    except MetricError:
+                        continue
+                    normed, kept_normed = read_only(normed)
+                    for transform in PointTransform:
+                        apply_point_transform(normed, pair, transform)
+                    for aggregator in AGGREGATORS:
+                        try:
+                            aggregate(normed, aggregator, policy)
+                        except MetricError:
+                            pass
+                    normed.usable_values()
+                    assert unchanged(kept_normed)
+                assert unchanged(kept_distances)
+        assert unchanged(kept)
