@@ -1,12 +1,11 @@
 """Metrics built on top of other metrics, and the one route to any named metric.
 
-Three families live here: whole-series normalizations of RMSE/MSE, the
-benchmark- and history-relative composites (RMAE, RelRMSE, LMR, RGRMSE,
-MASE, CoD), and named metric suites.  Base values are computed through
-the composition pipeline, not the closed forms in ``formulas``, so the
-two routes stay independently checkable.  ``evaluate_metric``, which
+The whole-series normalizations (NRMSE family, NMSE) and the benchmark-
+and history-relative composites (RMAE, RelRMSE, LMR, RGRMSE, MASE, CoD)
+are ``registry.DerivedRecipe`` data; the functions here are named entry
+points to them, plus named metric suites.  ``evaluate_metric``, which
 suites and the command line call, is the one route from a catalog name to
-a value: ``registry.check``, then the evaluator of the metric's family.
+a value: ``registry.check``, then the recipe or ``registry.evaluate_named``.
 """
 
 from __future__ import annotations
@@ -16,39 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .errors import (
-    BenchmarkMismatch,
-    InsufficientData,
-    LogDomain,
-    MetricError,
-    UnknownSuite,
-    ValidationError,
-    ZeroDenominator,
-)
-from .evaluator import evaluate
-from .types import (
-    NEAR_ZERO,
-    BenchmarkInput,
-    Dimension,
-    EvaluationPolicy,
-    FAIL_FAST,
-    MetricResult,
-    SeriesPair,
-)
-
-# composite abbreviation -> (pipeline base metric, ratio form)
-RELATIVE_FORMS = {
-    "RMAE": ("MAE", "ratio"),
-    "RelRMSE": ("RMSE", "ratio"),
-    "LMR": ("RMSE", "log-ratio"),
-    "RGRMSE": ("GRMSE", "ratio"),
-}
-
-
-def _pipeline_value(pair: SeriesPair, abbreviation: str, policy: EvaluationPolicy) -> float:
-    comp = registry.lookup(abbreviation).composition
-    assert comp is not None, f"{abbreviation} has no composition"
-    return evaluate(pair, comp, policy).value
+from .errors import MetricError, UnknownSuite, ValidationError
+from .evaluator import evaluate  # noqa: F401  (perfbench wraps and swaps derived.evaluate)
+from .types import BenchmarkInput, EvaluationPolicy, FAIL_FAST, MetricResult, SeriesPair
 
 
 def extended(
@@ -64,31 +33,9 @@ def extended(
     per-point policy to apply.
     """
     defn = registry.lookup(name)
-    key = defn.abbreviation
     if defn.category is not registry.Category.EXTENDED:
         raise ValidationError(f"{name!r} is not an extended whole-series metric")
-    a = pair.actuals
-    if key in ("NRMSE_sd", "NMSE") and pair.n < 2:
-        raise InsufficientData(f"{key} needs at least 2 points")
-    if key == "NRMSE_m":
-        den = float(np.mean(a))
-        if abs(den) < NEAR_ZERO:
-            raise ZeroDenominator(message="mean of actuals is zero")
-    elif key == "NRMSE_sd":
-        den = float(np.std(a, ddof=1))
-        if den < NEAR_ZERO:
-            raise ZeroDenominator(message="standard deviation of actuals is zero")
-    elif key == "NRMSE_mm":
-        den = float(np.max(a) - np.min(a))
-        if den < NEAR_ZERO:
-            raise ZeroDenominator(message="range of actuals is zero")
-    else:
-        den = float(np.var(a, ddof=1))
-        if den < NEAR_ZERO:
-            raise ZeroDenominator(message="variance of actuals is zero")
-    base = "MSE" if key == "NMSE" else "RMSE"
-    numerator = _pipeline_value(pair, base, policy)
-    return MetricResult(numerator / den, Dimension.DIMENSIONLESS, pair.n, 0, ())
+    return registry.evaluate_recipe(pair, defn.recipe, policy)[0]
 
 
 def mase(
@@ -102,16 +49,7 @@ def mase(
     change is the scale.  The evaluation window never contributes to the
     scale, so out-of-sample errors cannot shrink it.
     """
-    in_sample = np.asarray(in_sample, dtype=float)
-    if in_sample.ndim != 1 or in_sample.size < 2:
-        raise InsufficientData("in-sample history needs at least 2 points")
-    if not np.isfinite(in_sample).all():
-        raise ValidationError("in-sample history contains non-finite values")
-    scale = float(np.mean(np.abs(np.diff(in_sample))))
-    if scale < NEAR_ZERO:
-        raise ZeroDenominator(message="in-sample history is constant: naive scale is zero")
-    value = _pipeline_value(pair, "MAE", policy) / scale
-    return MetricResult(value, Dimension.DIMENSIONLESS, pair.n, 0, ())
+    return registry.evaluate_recipe(pair, registry.lookup("MASE").recipe, policy, in_sample=in_sample)[0]
 
 
 def coefficient_of_determination(
@@ -119,13 +57,7 @@ def coefficient_of_determination(
     policy: EvaluationPolicy = FAIL_FAST,
 ) -> MetricResult:
     """1 - SSE / total sum of squares; 1 is perfect, 0 matches the mean."""
-    if pair.n < 2:
-        raise InsufficientData("coefficient of determination needs at least 2 points")
-    tss = float(np.sum((pair.actuals - np.mean(pair.actuals)) ** 2))
-    if tss < NEAR_ZERO:
-        raise ZeroDenominator(message="actuals are constant: total sum of squares is zero")
-    value = 1.0 - _pipeline_value(pair, "SSE", policy) / tss
-    return MetricResult(value, Dimension.DIMENSIONLESS, pair.n, 0, ())
+    return registry.evaluate_recipe(pair, registry.lookup("CoD").recipe, policy)[0]
 
 
 @dataclass(frozen=True)
@@ -148,6 +80,13 @@ def _interpret_ratio(ratio: float, base: str) -> str:
     return f"candidate {base} errors are {pct:.6g}% {direction} than the benchmark's"
 
 
+def _relative(recipe: registry.DerivedRecipe, outcome: tuple[MetricResult, float, float]) -> RelativeResult:
+    """The comparison behind a benchmark recipe's ``evaluate_recipe`` outcome."""
+    result, candidate, bench = outcome
+    interpretation = _interpret_ratio(candidate / bench, recipe.base)
+    return RelativeResult(recipe.base, recipe.combine, result.value, candidate, bench, interpretation)
+
+
 def relative_metric(
     pair: SeriesPair,
     benchmark: SeriesPair,
@@ -162,29 +101,13 @@ def relative_metric(
     higher than the benchmark's.  Identical predictions give exactly 1
     (ratio) or exactly 0 (log ratio).
     """
-    if not np.array_equal(pair.actuals, benchmark.actuals):
-        raise BenchmarkMismatch()
     if form not in ("ratio", "log-ratio"):
         raise ValidationError(f"unknown relative form {form!r}")
     defn = registry.lookup(base)
     if defn.composition is None:
         raise ValidationError(f"relative base must be a composed metric, got {base!r}")
-    candidate = evaluate(pair, defn.composition, policy).value
-    bench = evaluate(benchmark, defn.composition, policy).value
-    if abs(bench) < NEAR_ZERO:
-        raise ZeroDenominator(message=f"benchmark {defn.abbreviation} is zero")
-    ratio = candidate / bench
-    if form == "log-ratio" and ratio <= 0:
-        raise LogDomain(ratio)
-    value = float(np.log(ratio)) if form == "log-ratio" else ratio
-    return RelativeResult(
-        base=defn.abbreviation,
-        form=form,
-        value=value,
-        candidate=candidate,
-        benchmark=bench,
-        interpretation=_interpret_ratio(ratio, defn.abbreviation),
-    )
+    recipe = registry.DerivedRecipe(defn.abbreviation, registry.BENCHMARK_BASE, form)
+    return _relative(recipe, registry.evaluate_recipe(pair, recipe, policy, benchmark))
 
 
 def relative_named(
@@ -194,11 +117,10 @@ def relative_named(
     policy: EvaluationPolicy = FAIL_FAST,
 ) -> RelativeResult:
     """Evaluate RMAE, RelRMSE, LMR or RGRMSE by catalog name."""
-    key = registry.lookup(name).abbreviation
-    if key not in RELATIVE_FORMS:
+    defn = registry.lookup(name)
+    if defn.requires != "benchmark":
         raise ValidationError(f"{name!r} is not a benchmark-relative metric")
-    base, form = RELATIVE_FORMS[key]
-    return relative_metric(pair, benchmark, base, form, policy)
+    return _relative(defn.recipe, registry.evaluate_recipe(pair, defn.recipe, policy, benchmark))
 
 
 def evaluate_metric(
@@ -219,17 +141,11 @@ def evaluate_metric(
     """
     defn = registry.lookup(name)
     registry.check(defn, variant, benchmark is not None, in_sample is not None)
-    abbr = defn.abbreviation
-    if defn.requires == "benchmark":
-        rel = relative_named(pair, benchmark, abbr, policy)
-        return MetricResult(rel.value, Dimension.DIMENSIONLESS, pair.n, 0, ()), rel
-    if defn.requires == "in-sample history":
-        return mase(pair, in_sample, policy), None
-    if defn.category is registry.Category.EXTENDED:
-        return extended(pair, abbr, policy), None
-    if abbr == "CoD":
-        return coefficient_of_determination(pair, policy), None
-    return registry.evaluate_named(pair, abbr, policy, variant), None
+    if defn.recipe is None:
+        return registry.evaluate_named(pair, defn.abbreviation, policy, variant), None
+    outcome = registry.evaluate_recipe(pair, defn.recipe, policy, benchmark, in_sample)
+    rel = _relative(defn.recipe, outcome) if defn.requires == "benchmark" else None
+    return outcome[0], rel
 
 
 # --- suites ---------------------------------------------------------------

@@ -75,12 +75,23 @@ class NonpositiveLogRatio(EvaluationError):
         )
 
 
-class DistanceOverflow(EvaluationError):
-    def __init__(self, index: int):
+class RangeOverflow(EvaluationError):
+    """A value computed from finite inputs left the floating-point range."""
+
+    def __init__(self, what: str, index: int | None = None):
         self.index = index
-        super().__init__(
-            f"point distance at index {index} overflows the floating-point range"
-        )
+        where = f" at index {index}" if index is not None else ""
+        super().__init__(f"{what}{where} overflows the floating-point range")
+
+
+class DistanceOverflow(RangeOverflow):
+    def __init__(self, index: int):
+        super().__init__("point distance", index)
+
+
+class NormalizerOverflow(RangeOverflow):
+    def __init__(self, index: int):
+        super().__init__("normalizer base", index)
 
 
 class AllPointsSkipped(EvaluationError):

@@ -25,6 +25,8 @@ from .errors import (
     GeometricMeanDomain,
     HarmonicMeanDomain,
     NonpositiveLogRatio,
+    NormalizerOverflow,
+    RangeOverflow,
     SqrtDomain,
     ZeroDenominator,
 )
@@ -56,6 +58,7 @@ SKIP_ZERO_DENOMINATOR = "skipped:zero-denominator"
 EPSILON_CORRECTED = "epsilon-corrected"
 
 _ERROR_DISTANCES = (Distance.ERROR, Distance.ABSOLUTE_ERROR, Distance.SQUARED_ERROR)
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def point_distances(
@@ -66,9 +69,11 @@ def point_distances(
     """Per-point distances between actuals and predictions.
 
     The log-quotient distances are undefined wherever predicted/actual is
-    not a positive finite number; those points either fail or are skipped
-    according to ``policy.nonpositive_log_ratio``.  An error distance that
-    leaves the floating-point range raises DistanceOverflow.
+    not positive, that is where either value is zero or their signs
+    differ; those points either fail or are skipped according to
+    ``policy.nonpositive_log_ratio``.  A positive quotient that over- or
+    underflows still has a finite log, taken as ln|P| - ln|A|.  An error
+    distance that leaves the floating-point range raises DistanceOverflow.
     """
     a, p = pair.actuals, pair.predicted
     if kind in _ERROR_DISTANCES:
@@ -83,21 +88,30 @@ def point_distances(
             raise DistanceOverflow(int(np.argmin(finite)))
         return PointVector(d, pair.all_points)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         ratio = p / a
-    usable = (ratio > 0) & (ratio < np.inf)
-    actions = NO_ACTIONS
-    if usable.all():
-        usable = pair.all_points
+    # a positive quotient that neither overflowed nor underflowed
+    normal = (ratio >= _SMALLEST_NORMAL) & (ratio < np.inf)
+    if normal.all():
+        usable, actions = pair.all_points, NO_ACTIONS
+        values = np.log(ratio, out=ratio)
     else:
-        if policy.nonpositive_log_ratio is LogRatioPolicy.FAIL:
+        # P/A is positive exactly when P and A are nonzero and of one sign
+        usable = (a != 0) & (p != 0) & (np.signbit(a) == np.signbit(p))
+        actions = NO_ACTIONS
+        if usable.all():
+            usable = pair.all_points
+        elif policy.nonpositive_log_ratio is LogRatioPolicy.FAIL:
             raise NonpositiveLogRatio(int(np.argmin(usable)))
-        if not usable.any():
+        elif not usable.any():
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
-        bad = ~usable
-        actions = actions.with_run(SKIP_LOG_RATIO, np.flatnonzero(bad))
-        ratio[bad] = 1.0
-    values = np.log(ratio, out=ratio)
+        else:
+            actions = actions.with_run(SKIP_LOG_RATIO, np.flatnonzero(~usable))
+        ratio[~normal] = 1.0
+        values = np.log(ratio, out=ratio)
+        # where the quotient over- or underflowed, the logs are taken apart
+        spilled = np.flatnonzero(usable & ~normal)
+        values[spilled] = np.log(np.abs(p[spilled])) - np.log(np.abs(a[spilled]))
     if kind is Distance.ABS_LOG_QUOTIENT:
         np.abs(values, out=values)
     return PointVector(values, usable, actions)
@@ -105,20 +119,22 @@ def point_distances(
 
 def _normalizer_base(pair: SeriesPair, spec: NormalizerSpec) -> np.ndarray:
     """The base before its exponent; the read-only actuals themselves for
-    plain BY_ACTUALS, otherwise a new array."""
+    plain BY_ACTUALS, otherwise a new array.  The sums and the mean may
+    leave the floating-point range: ``_extremes`` refuses such a base."""
     a, p = pair.actuals, pair.predicted
     if spec.kind is NormKind.BY_ACTUALS:
         return np.abs(a) if spec.absolute else a
-    if spec.kind is NormKind.BY_VARIABILITY:
-        dev = a - a.mean()
-        return np.abs(dev, out=dev) if spec.absolute else dev
-    if spec.kind is NormKind.BY_SUM:
-        if not spec.absolute:
-            return a + p
-        # absolute variant sums magnitudes, it is not |A + P|
-        base = np.abs(a)
-        base += np.abs(p)
-        return base
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is NormKind.BY_VARIABILITY:
+            dev = a - a.mean()
+            return np.abs(dev, out=dev) if spec.absolute else dev
+        if spec.kind is NormKind.BY_SUM:
+            if not spec.absolute:
+                return a + p
+            # absolute variant sums magnitudes, it is not |A + P|
+            base = np.abs(a)
+            base += np.abs(p)
+            return base
     if spec.kind is NormKind.BY_MAX:
         return np.maximum(a, p)
     if spec.kind is NormKind.BY_MIN:
@@ -126,22 +142,37 @@ def _normalizer_base(pair: SeriesPair, spec: NormalizerSpec) -> np.ndarray:
     raise AssertionError(f"unexpected normalizer kind {spec.kind!r}")
 
 
+def _extremes(base: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest base value; NormalizerOverflow names the first
+    point whose base is not a finite number."""
+    lo, hi = float(base.min()), float(base.max())
+    if not -math.inf < lo <= hi < math.inf:
+        raise NormalizerOverflow(int(np.argmin(np.isfinite(base))))
+    return lo, hi
+
+
 def _near_zero(base: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
     """Mask of the usable points whose base is near zero, or None when
     there is none.  No mask is built when the extremes of the base show
-    that every point is clear of zero."""
-    if base.min() >= NEAR_ZERO or base.max() <= -NEAR_ZERO:
+    that every point is clear of zero; extremes beyond the floating-point
+    range raise NormalizerOverflow."""
+    lo, hi = _extremes(base)
+    if lo >= NEAR_ZERO or hi <= -NEAR_ZERO:
         return None
     degenerate = usable & (np.abs(base) < NEAR_ZERO)
     return degenerate if degenerate.any() else None
 
 
 def _scaled(op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray) -> np.ndarray:
-    """op(factor * values, other) as one new array; ``values`` is not written."""
-    if factor == 1.0:
-        return op(values, other)
-    out = np.multiply(values, factor)
-    return op(out, other, out=out)
+    """op(factor * values, other) as one new array; ``values`` is not written.
+
+    A quotient or product beyond the floating-point range is left as inf
+    for ``aggregate`` to refuse."""
+    with np.errstate(over="ignore"):
+        if factor == 1.0:
+            return op(values, other)
+        out = np.multiply(values, factor)
+        return op(out, other, out=out)
 
 
 def normalize(
@@ -155,7 +186,9 @@ def normalize(
     Near-zero bases (|base| < 1e-12) at usable points are degenerate and
     handled per ``policy.zero_denominator``: fail on the first one, skip
     them, or add an epsilon to the base before dividing.  Exponent -1
-    multiplies by the base instead and has no degenerate case.
+    multiplies by the base instead and has no degenerate case.  A base,
+    or squared base, beyond the floating-point range raises
+    NormalizerOverflow whatever the policy.
     """
     if spec.kind is NormKind.UNITARY:
         return points
@@ -164,6 +197,7 @@ def normalize(
     actions = points.actions
 
     if spec.exponent == -1:
+        _extremes(base)  # refuses a base beyond the floating-point range
         return PointVector(_scaled(np.multiply, points.values, spec.factor, base), usable, actions)
 
     clean = points.clean
@@ -194,7 +228,10 @@ def normalize(
 
     if spec.exponent == 2:
         # squared in place unless the base is the pair's own actuals
-        base = np.square(base, out=None if base is pair.actuals else base)
+        with np.errstate(over="ignore"):
+            base = np.square(base, out=None if base is pair.actuals else base)
+        if base.max() == np.inf:
+            raise NormalizerOverflow(int(np.argmax(base == np.inf)))
     if clean:
         return PointVector(_scaled(np.divide, points.values, spec.factor, base), usable, actions)
     values = np.where(usable, points.values, 0.0)
@@ -210,11 +247,13 @@ def apply_point_transform(
     """Apply the optional per-point map to normalized values."""
     if transform is PointTransform.IDENTITY:
         return points
-    values = np.expm1(points.values)
-    if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
-        # sign(0) = 0: a perfect point contributes nothing to the bias
-        sign = pair.predicted - pair.actuals
-        values *= np.sign(sign, out=sign)
+    # a value beyond the floating-point range is left as inf for ``aggregate``
+    with np.errstate(over="ignore"):
+        values = np.expm1(points.values)
+        if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
+            # sign(0) = 0: a perfect point contributes nothing to the bias
+            sign = pair.predicted - pair.actuals
+            values *= np.sign(sign, out=sign)
     return PointVector(values, points.usable, points.actions)
 
 
@@ -227,12 +266,21 @@ def aggregate(
 
     The geometric mean is undefined when any usable value is zero or
     negative and the harmonic mean when any is zero; both raise regardless
-    of policy.
+    of policy.  An aggregate beyond the floating-point range, such as the
+    sum of large finite values, raises RangeOverflow.
     """
     v = points.usable_values()
-    m = v.size
-    if m == 0:
+    if v.size == 0:
         raise EmptyAggregation()
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _reduce(v, aggregator)
+    if not math.isfinite(value):
+        raise RangeOverflow("aggregate of the point values")
+    return value
+
+
+def _reduce(v: np.ndarray, aggregator: Aggregator) -> float:
+    m = v.size
     kind = aggregator.kind
     if kind is AggKind.MEAN:
         return float(v.mean())
@@ -241,7 +289,7 @@ def aggregate(
     if kind is AggKind.GEOMETRIC_MEAN:
         if v.min() <= 0:
             raise GeometricMeanDomain()
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(under="ignore"):
             product = float(np.prod(v))
         if 0.0 < product < np.inf:
             return float(product ** (1.0 / m))
@@ -274,7 +322,10 @@ def apply_post(value: float, post: PostTransform) -> float:
         return math.sqrt(value)
     if post.kind is PostKind.SCALE:
         return value * post.k
-    return 100.0 * math.expm1(value)
+    try:
+        return 100.0 * math.expm1(value)
+    except OverflowError:
+        raise RangeOverflow("symmetric accuracy") from None
 
 
 def dimension_of(comp: MetricComposition) -> Dimension:

@@ -67,16 +67,22 @@ def _log_ratio(
     p: np.ndarray,
     policy: EvaluationPolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ln(P/A) and a usability mask, honoring the log-ratio policy."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p / a
-    bad = ~np.isfinite(ratio) | (ratio <= 0)
+    """ln(P/A) and a usability mask, honoring the log-ratio policy.
+
+    P/A is positive when neither value is zero and both have one sign.
+    Where the quotient itself over- or underflows, ln|P| - ln|A| is used.
+    """
+    bad = (a == 0) | (p == 0) | (np.sign(a) != np.sign(p))
     if bad.any():
         if policy.nonpositive_log_ratio is LogRatioPolicy.FAIL:
             raise NonpositiveLogRatio(int(np.argmax(bad)))
         if bad.all():
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
-    return np.log(np.where(bad, 1.0, ratio)), ~bad
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        ratio = p / a
+    spilled = ~bad & ((ratio < np.finfo(float).tiny) | np.isinf(ratio))
+    direct = np.log(np.abs(np.where(spilled, p, 1.0))) - np.log(np.abs(np.where(spilled, a, 1.0)))
+    return np.where(spilled, direct, np.log(np.where(bad | spilled, 1.0, ratio))), ~bad
 
 
 def _mean(values: np.ndarray, mask: np.ndarray) -> float:

@@ -1,17 +1,22 @@
-"""Metric catalog: named definitions binding compositions to formulas.
+"""Metric catalog: named definitions binding recipes to formulas.
 
-Every implemented metric carries both a composition (where one exists)
-and a direct closed-form implementation from ``formulas``.  The two are
-independent code paths; tests hold them to agreement.  Variants are data
-on the definition.  Lookup is case-insensitive, knows the common alias
-names, and suggests near misses.  ``check`` holds every up-front
-configuration check for a named metric; ``evaluate_named`` evaluates
-primary metrics only, and ``derived.evaluate_metric`` every catalog name.
+Every implemented metric is data.  A primary metric is a composition run
+through the pipeline in ``evaluator``; an extended or composite metric,
+and a ratio-of-sums variant, is a ``DerivedRecipe``: a composed base
+metric combined with one whole-series ``Statistic``, evaluated by
+``evaluate_recipe``.  The closed forms in ``formulas`` are the
+independent oracle the tests hold both to (``direct_formula``); no
+evaluation route runs them.  Variants are data on the definition.  Lookup
+is case-insensitive, knows the common alias names, and suggests near
+misses.  ``check`` holds every up-front configuration check for a named
+metric; ``evaluate_named`` evaluates primary metrics only, and
+``derived.evaluate_metric`` every catalog name.
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -20,31 +25,15 @@ from typing import Any, Callable
 import numpy as np
 
 from . import formulas
-from .errors import MissingBenchmark, RequiresBenchmark, UnimplementedMetric, UnknownMetric, UnknownVariant
-from .evaluator import dimension_of, evaluate, point_distances
+from .errors import (
+    BenchmarkMismatch, InsufficientData, LogDomain, MissingBenchmark, RangeOverflow, RequiresBenchmark,
+    UnimplementedMetric, UnknownMetric, UnknownVariant, ValidationError, ZeroDenominator,
+)
+from .evaluator import apply_post, dimension_of, evaluate, point_distances
 from .types import (
-    Aggregator,
-    AggKind,
-    Cell,
-    Dimension,
-    Distance,
-    EvaluationPolicy,
-    FAIL_FAST,
-    GEOMETRIC_MEAN,
-    MAXIMUM,
-    MEAN,
-    MEDIAN,
-    MetricComposition,
-    MetricResult,
-    NormalizerSpec,
-    NormKind,
-    PERCENT_SCALE,
-    PointTransform,
-    PostTransform,
-    SQRT,
-    SUM,
-    SYMMETRIC_ACCURACY,
-    SeriesPair,
+    NEAR_ZERO, AggKind, Cell, Dimension, Distance, EvaluationPolicy, FAIL_FAST, GEOMETRIC_MEAN, MAXIMUM,
+    MEDIAN, MetricComposition, MetricResult, NormalizerSpec, NormKind, PERCENT_SCALE, PointTransform,
+    PostTransform, SQRT, SUM, SYMMETRIC_ACCURACY, SeriesPair,
 )
 
 DirectFn = Callable[[np.ndarray, np.ndarray, EvaluationPolicy, "str | None"], float]
@@ -57,27 +46,82 @@ class Category(Enum):
 
 
 @dataclass(frozen=True)
+class Statistic:
+    """A whole-series statistic: the denominator of a derived recipe.
+
+    ``of`` maps the actuals, or the input the statistic ``requires``
+    ("in-sample history"), to the statistic; it needs ``min_points``
+    points, else ``too_few`` is the error.  The statistic that requires a
+    "benchmark" has no ``of``: it is the recipe's base metric, ``{base}``
+    in its texts, on the benchmark pair.
+    """
+
+    name: str
+    of: Callable[[np.ndarray], float] | None
+    min_points: int = 1
+    too_few: str = ""
+    zero: str = ""               # the error for a zero statistic; default "<name> is zero"
+    requires: str | None = None
+
+
+MEAN_OF_ACTUALS = Statistic("mean of actuals", np.mean)
+SD_OF_ACTUALS = Statistic("standard deviation of actuals", lambda a: np.std(a, ddof=1),
+                          2, "NRMSE_sd needs at least 2 points")
+RANGE_OF_ACTUALS = Statistic("range of actuals", lambda a: np.max(a) - np.min(a))
+VARIANCE_OF_ACTUALS = Statistic("variance of actuals", lambda a: np.var(a, ddof=1),
+                                2, "NMSE needs at least 2 points")
+ABS_DEVIATION_SUM = Statistic("sum of |A - mean(A)|", lambda a: np.sum(np.abs(a - np.mean(a))))
+N_ABS_DEVIATION_SUM = Statistic("n times the sum of |A - mean(A)|",
+                                lambda a: a.size * ABS_DEVIATION_SUM.of(a),
+                                zero="sum of |A - mean(A)| is zero")
+SQUARED_DEVIATION_SUM = Statistic("sum of (A - mean(A))^2", lambda a: np.sum((a - np.mean(a)) ** 2))
+TOTAL_SUM_OF_SQUARES = replace(SQUARED_DEVIATION_SUM, min_points=2,
+                               too_few="coefficient of determination needs at least 2 points",
+                               zero="actuals are constant: total sum of squares is zero")
+NAIVE_SCALE = Statistic("naive scale of the in-sample history", lambda h: np.mean(np.abs(np.diff(h))),
+                        2, "in-sample history needs at least 2 points", requires="in-sample history",
+                        zero="in-sample history is constant: naive scale is zero")
+BENCHMARK_BASE = Statistic("benchmark {base}", None, requires="benchmark")
+
+
+@dataclass(frozen=True)
+class DerivedRecipe:
+    """``combine(base metric on the pair, statistic)``, then ``post``.
+
+    ``base`` names a composed catalog metric.  ``combine`` is "ratio",
+    "1-ratio" or "log-ratio"; ``post`` an optional transform of the result.
+    """
+
+    base: str
+    statistic: Statistic
+    combine: str = "ratio"
+    post: PostTransform | None = None
+
+
+@dataclass(frozen=True)
 class Variant:
     """How one named variant of a metric is computed.
 
-    ``composition`` is None when only the closed form exists; ``kwargs``
-    are the keyword arguments that select the variant in the closed form.
+    Either ``composition`` or ``recipe`` is set; ``kwargs`` are the keyword
+    arguments that select the variant in the closed form.
     """
 
     composition: MetricComposition | None
     kwargs: dict[str, Any] = field(default_factory=dict)
+    recipe: DerivedRecipe | None = None
 
 
 @dataclass(frozen=True)
 class MetricDefinition:
     """One catalog entry.
 
-    ``composition`` is None for direct-formula-only metrics; ``formula``
-    is None for stubs and for metrics needing external inputs.  ``cell`` is
-    normally the composition's cell; one pinned on a metric without a
-    composition is where the chart prints it "as printed".  ``charted``
-    False sends a composed metric to the chart's annex.  ``log_weight``
-    marks a metric that sums ln(P/A) weighted per point (KLD, JD).
+    A metric has a ``composition``, a ``recipe`` (extended and composite
+    metrics) or a ``log_weight`` (KLD and JD, which sum ln(P/A) weighted
+    per point).  ``formula``, the closed form, is None for stubs and for
+    metrics needing external inputs.  ``cell`` is normally the
+    composition's cell; one pinned on a metric without a composition is
+    where the chart prints it "as printed".  ``charted`` False sends a
+    composed metric to the chart's annex.
     """
 
     abbreviation: str
@@ -91,7 +135,7 @@ class MetricDefinition:
     cell: Cell | None = None
     chart_aka: tuple[str, ...] = ()
     charted: bool = True
-    requires: str | None = None          # None | "benchmark" | "in-sample history"
+    recipe: DerivedRecipe | None = None
     log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     notes: str = ""
     stub_reason: str | None = None
@@ -99,6 +143,11 @@ class MetricDefinition:
     @property
     def implemented(self) -> bool:
         return self.stub_reason is None
+
+    @property
+    def requires(self) -> str | None:
+        """What the metric needs beyond the pair: "benchmark", "in-sample history" or None."""
+        return self.recipe.statistic.requires if self.recipe else None
 
     @property
     def direct(self) -> DirectFn | None:
@@ -133,25 +182,9 @@ class MetricDefinition:
         return record
 
 
-def _norm(kind: NormKind, exponent: int = 1, absolute: bool = False, factor: float = 1.0) -> NormalizerSpec:
-    return NormalizerSpec(kind, exponent, absolute, factor)
-
-
-def _comp(
-    distance: Distance,
-    normalizer: NormalizerSpec | None = None,
-    aggregator: Aggregator = MEAN,
-    transform: PointTransform = PointTransform.IDENTITY,
-    post: tuple[PostTransform, ...] = (),
-) -> MetricComposition:
-    if normalizer is None:
-        normalizer = NormalizerSpec(NormKind.UNITARY)
-    return MetricComposition(distance, normalizer, aggregator, transform, post)
-
-
-def _options(comp: MetricComposition) -> dict[str, Variant]:
-    # option2, the ratio of sums, has no per-point composition
-    return {"option1": Variant(comp), "option2": Variant(None, {"option": 2})}
+def _options(option2: DerivedRecipe) -> Callable[[MetricComposition], dict[str, Variant]]:
+    # option1 is the per-point composition; option2, the ratio of sums, is a recipe
+    return lambda comp: {"option1": Variant(comp), "option2": Variant(None, {"option": 2}, option2)}
 
 
 def _absolute(comp: MetricComposition) -> dict[str, Variant]:
@@ -180,201 +213,208 @@ def _build_catalog() -> dict[str, MetricDefinition]:
 
     # signed error
     defs.append(_primary(
-        "ME", "Mean Error", _comp(Distance.ERROR), formulas.me,
+        "ME", "Mean Error", MetricComposition(Distance.ERROR), formulas.me,
         aliases=("MBE",), chart_aka=("MBE", "bias"),
         notes="signed errors cancel; a small value does not imply small errors",
     ))
     defs.append(_primary(
-        "MD", "Manhattan Distance", _comp(Distance.ERROR, aggregator=SUM), formulas.md,
+        "MD", "Manhattan Distance", MetricComposition(Distance.ERROR, aggregator=SUM), formulas.md,
         notes="sum of signed errors, so opposite-sign errors cancel",
     ))
     defs.append(_primary(
         "MNB", "Mean Normalized Bias",
-        _comp(Distance.ERROR, _norm(NormKind.BY_ACTUALS)), formulas.mnb,
+        MetricComposition(Distance.ERROR, NormalizerSpec(NormKind.BY_ACTUALS)), formulas.mnb,
     ))
     defs.append(_primary(
         "MPE", "Mean Percentage Error",
-        _comp(Distance.ERROR, _norm(NormKind.BY_ACTUALS), post=(PERCENT_SCALE,)),
+        MetricComposition(Distance.ERROR, NormalizerSpec(NormKind.BY_ACTUALS), post=(PERCENT_SCALE,)),
         formulas.mpe,
     ))
     defs.append(_primary(
         "FB", "Fractional Bias",
-        _comp(Distance.ERROR, _norm(NormKind.BY_SUM, factor=2.0)), formulas.fb,
+        MetricComposition(Distance.ERROR, NormalizerSpec(NormKind.BY_SUM, factor=2.0)), formulas.fb,
     ))
 
     # absolute error
     defs.append(_primary(
-        "MAE", "Mean Absolute Error", _comp(Distance.ABSOLUTE_ERROR), formulas.mae,
+        "MAE", "Mean Absolute Error", MetricComposition(Distance.ABSOLUTE_ERROR), formulas.mae,
         aliases=("MAD", "MAGE", "MCD"), chart_aka=("MAD",),
     ))
     defs.append(_primary(
         "MdAE", "Median Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=MEDIAN), formulas.mdae,
+        MetricComposition(Distance.ABSOLUTE_ERROR, aggregator=MEDIAN), formulas.mdae,
     ))
     defs.append(_primary(
         "MaxAE", "Maximum Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=MAXIMUM), formulas.maxae,
+        MetricComposition(Distance.ABSOLUTE_ERROR, aggregator=MAXIMUM), formulas.maxae,
         notes="uses the maximum aggregator, outside the four core aggregators",
     ))
     defs.append(_primary(
         "SAD", "Sum of Absolute Differences",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=SUM), formulas.sad,
+        MetricComposition(Distance.ABSOLUTE_ERROR, aggregator=SUM), formulas.sad,
     ))
     defs.append(_primary(
         "GMAE", "Geometric Mean Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, aggregator=GEOMETRIC_MEAN), formulas.gmae,
+        MetricComposition(Distance.ABSOLUTE_ERROR, aggregator=GEOMETRIC_MEAN), formulas.gmae,
         notes="undefined when any error is zero; never silently returns 0",
     ))
     defs.append(_primary(
         "MARE", "Mean Absolute Relative Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True)),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True)),
         formulas.mare, aliases=("MMRE",),
     ))
     defs.append(_primary(
         "MAPE", "Mean Absolute Percentage Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True), post=(PERCENT_SCALE,)),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True),
+                          post=(PERCENT_SCALE,)),
         formulas.mape,
     ))
     defs.append(_primary(
         "MdAPE", "Median Absolute Percentage Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_ACTUALS, absolute=True),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True),
               aggregator=MEDIAN, post=(PERCENT_SCALE,)),
         formulas.mdape,
     ))
     defs.append(_primary(
         "MRAE", "Mean Relative Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True)),
-        formulas.mrae, _options,
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_VARIABILITY, absolute=True)),
+        formulas.mrae, _options(DerivedRecipe("SAD", N_ABS_DEVIATION_SUM)),
         notes="option2 divides the error sum by n times the deviation sum",
     ))
     defs.append(_primary(
         "MdRAE", "Median Relative Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True), aggregator=MEDIAN),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_VARIABILITY, absolute=True),
+                          aggregator=MEDIAN),
         formulas.mdrae,
     ))
     defs.append(_primary(
         "GMRAE", "Geometric Mean Relative Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_VARIABILITY, absolute=True),
               aggregator=GEOMETRIC_MEAN),
         formulas.gmrae, lambda comp: {"root-product": Variant(comp, {"form": "root-product"})},
         notes="root-product form is algebraically identical to the mean-log form",
     ))
     defs.append(_primary(
         "RAE", "Relative Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_VARIABILITY, absolute=True), aggregator=SUM),
-        formulas.rae, _options,
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_VARIABILITY, absolute=True),
+                          aggregator=SUM),
+        formulas.rae, _options(DerivedRecipe("SAD", ABS_DEVIATION_SUM)),
         notes="option2 is the ratio of sums rather than the sum of ratios",
     ))
     defs.append(_primary(
         "FAE", "Fractional Absolute Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0)),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_SUM, factor=2.0)),
         formulas.fae, _absolute,
     ))
     defs.append(_primary(
         "sMAPE", "Symmetric Mean Absolute Percentage Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0), post=(PERCENT_SCALE,)),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_SUM, factor=2.0),
+                          post=(PERCENT_SCALE,)),
         formulas.smape,
         lambda comp: {**_absolute(comp), "mean-denominator": Variant(comp, {"variant": "mean-denominator"})},
         notes="mean-denominator variant divides by (A+P)/2, the same quantity",
     ))
     defs.append(_primary(
         "sMdAPE", "Symmetric Median Absolute Percentage Error",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM, factor=2.0),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_SUM, factor=2.0),
               aggregator=MEDIAN, post=(PERCENT_SCALE,)),
         formulas.smdape, _absolute,
     ))
     defs.append(_primary(
         "CM", "Canberra Metric",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_SUM), aggregator=SUM),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_SUM), aggregator=SUM),
         formulas.cm, _absolute,
     ))
     defs.append(_primary(
         "WHD", "Wave Hedges Distance",
-        _comp(Distance.ABSOLUTE_ERROR, _norm(NormKind.BY_MAX), aggregator=SUM),
+        MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_MAX), aggregator=SUM),
         formulas.whd,
     ))
 
     # squared error
     defs.append(_primary(
-        "MSE", "Mean Squared Error", _comp(Distance.SQUARED_ERROR), formulas.mse,
+        "MSE", "Mean Squared Error", MetricComposition(Distance.SQUARED_ERROR), formulas.mse,
     ))
     defs.append(_primary(
         "RMSE", "Root Mean Squared Error",
-        _comp(Distance.SQUARED_ERROR, post=(SQRT,)), formulas.rmse,
+        MetricComposition(Distance.SQUARED_ERROR, post=(SQRT,)), formulas.rmse,
     ))
     defs.append(_primary(
         "SSE", "Sum of Squared Errors",
-        _comp(Distance.SQUARED_ERROR, aggregator=SUM), formulas.sse,
+        MetricComposition(Distance.SQUARED_ERROR, aggregator=SUM), formulas.sse,
     ))
     defs.append(_primary(
         "ED", "Euclidean Distance",
-        _comp(Distance.SQUARED_ERROR, aggregator=SUM, post=(SQRT,)), formulas.ed,
+        MetricComposition(Distance.SQUARED_ERROR, aggregator=SUM, post=(SQRT,)), formulas.ed,
     ))
     defs.append(_primary(
         "GRMSE", "Geometric Root Mean Squared Error",
-        _comp(Distance.SQUARED_ERROR, aggregator=GEOMETRIC_MEAN, post=(SQRT,)),
+        MetricComposition(Distance.SQUARED_ERROR, aggregator=GEOMETRIC_MEAN, post=(SQRT,)),
         formulas.grmse,
     ))
     defs.append(_primary(
         "MSPE", "Mean Square Percentage Error",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2), post=(PERCENT_SCALE,)),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, exponent=2),
+                          post=(PERCENT_SCALE,)),
         formulas.mspe,
     ))
     defs.append(_primary(
         "RMSPE", "Root Mean Square Percentage Error",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, exponent=2),
               post=(PERCENT_SCALE, SQRT)),
         formulas.rmspe, _conventional,
         notes="conventional variant takes the root before scaling to percent",
     ))
     defs.append(_primary(
         "MdSPE", "Median Square Percentage Error",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, exponent=2),
               aggregator=MEDIAN, post=(PERCENT_SCALE,)),
         formulas.mdspe,
     ))
     defs.append(_primary(
         "RMdSPE", "Root Median Square Percentage Error",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS, exponent=2),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, exponent=2),
               aggregator=MEDIAN, post=(PERCENT_SCALE, SQRT)),
         formulas.rmdspe, _conventional,
     ))
     defs.append(_primary(
         "NCSD", "Neyman Chi-Square Distance",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_ACTUALS), aggregator=SUM),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_ACTUALS), aggregator=SUM),
         formulas.ncsd,
     ))
     defs.append(_primary(
         "RSE", "Relative Squared Error",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_VARIABILITY, exponent=2), aggregator=SUM),
-        formulas.rse, _options,
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_VARIABILITY, exponent=2),
+                          aggregator=SUM),
+        formulas.rse, _options(DerivedRecipe("SSE", SQUARED_DEVIATION_SUM)),
     ))
     defs.append(_primary(
         "RRSE", "Root Relative Squared Error",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_VARIABILITY, exponent=2),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_VARIABILITY, exponent=2),
               aggregator=SUM, post=(SQRT,)),
-        formulas.rrse, _options,
+        formulas.rrse, _options(DerivedRecipe("SSE", SQUARED_DEVIATION_SUM, post=SQRT)),
     ))
     defs.append(_primary(
         "SquD", "Squared Chi-Square Distance",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_SUM), aggregator=SUM),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_SUM), aggregator=SUM),
         formulas.squd,
     ))
     defs.append(_primary(
         "DivD", "Divergence Distance",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_SUM, exponent=2, factor=2.0), aggregator=SUM),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_SUM, exponent=2, factor=2.0),
+                          aggregator=SUM),
         formulas.divd,
     ))
     defs.append(_primary(
         "VSD", "Vicis Symmetric Distance",
-        _comp(Distance.SQUARED_ERROR, _norm(NormKind.BY_MIN), aggregator=SUM),
+        MetricComposition(Distance.SQUARED_ERROR, NormalizerSpec(NormKind.BY_MIN), aggregator=SUM),
         formulas.vsd,
     ))
 
     # log quotient
     defs.append(_primary(
         "MdLAR", "Median Log Accuracy Ratio",
-        _comp(Distance.LOG_QUOTIENT, aggregator=MEDIAN), formulas.mdlar,
+        MetricComposition(Distance.LOG_QUOTIENT, aggregator=MEDIAN), formulas.mdlar,
     ))
     defs.append(MetricDefinition(
         "KLD", "Kullback-Leibler Divergence", Category.PRIMARY,
@@ -394,65 +434,59 @@ def _build_catalog() -> dict[str, MetricDefinition]:
     # absolute log quotient (factor family)
     defs.append(_primary(
         "MNAFE", "Mean Normalized Absolute Factor Error",
-        _comp(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.EXP_MINUS_ONE),
+        MetricComposition(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.EXP_MINUS_ONE),
         formulas.mnafe,
     ))
     defs.append(_primary(
         "MNFB", "Mean Normalized Factor Bias",
-        _comp(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.SIGNED_EXP_MINUS_ONE),
+        MetricComposition(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.SIGNED_EXP_MINUS_ONE),
         formulas.mnfb, charted=False,
         notes="sign-weighted factor error; left out of the core grid because "
               "of the extra sign factor",
     ))
     defs.append(_primary(
         "MdSA", "Median Symmetric Accuracy",
-        _comp(Distance.ABS_LOG_QUOTIENT, aggregator=MEDIAN, post=(SYMMETRIC_ACCURACY,)),
+        MetricComposition(Distance.ABS_LOG_QUOTIENT, aggregator=MEDIAN, post=(SYMMETRIC_ACCURACY,)),
         formulas.mdsa,
     ))
 
     # extended: whole-series normalizations of RMSE and MSE
-    for abbr, name, fn, aliases in (
-        ("NRMSE_m", "Normalized RMSE (by mean of actuals)", formulas.nrmse_m, ("CVRMSE",)),
-        ("NRMSE_sd", "Normalized RMSE (by standard deviation of actuals)", formulas.nrmse_sd, ()),
-        ("NRMSE_mm", "Normalized RMSE (by range of actuals)", formulas.nrmse_mm, ()),
-        ("NMSE", "Normalized Mean Squared Error", formulas.nmse, ()),
+    for abbr, name, fn, aliases, recipe in (
+        ("NRMSE_m", "Normalized RMSE (by mean of actuals)", formulas.nrmse_m, ("CVRMSE",),
+         DerivedRecipe("RMSE", MEAN_OF_ACTUALS)),
+        ("NRMSE_sd", "Normalized RMSE (by standard deviation of actuals)", formulas.nrmse_sd, (),
+         DerivedRecipe("RMSE", SD_OF_ACTUALS)),
+        ("NRMSE_mm", "Normalized RMSE (by range of actuals)", formulas.nrmse_mm, (),
+         DerivedRecipe("RMSE", RANGE_OF_ACTUALS)),
+        ("NMSE", "Normalized Mean Squared Error", formulas.nmse, (),
+         DerivedRecipe("MSE", VARIANCE_OF_ACTUALS)),
     ):
         defs.append(MetricDefinition(
-            abbr, name, Category.EXTENDED, formula=fn, aliases=aliases,
-            dimension=Dimension.DIMENSIONLESS,
+            abbr, name, Category.EXTENDED, formula=fn, aliases=aliases, recipe=recipe,
             notes="normalizes by a statistic of the whole actual series",
         ))
 
-    # composite: benchmark- and history-relative metrics
+    # composite: history- and benchmark-relative metrics
     defs.append(MetricDefinition(
-        "CoD", "Coefficient of Determination", Category.COMPOSITE,
-        formula=formulas.cod, dimension=Dimension.DIMENSIONLESS,
+        "CoD", "Coefficient of Determination", Category.COMPOSITE, formula=formulas.cod,
+        recipe=DerivedRecipe("SSE", TOTAL_SUM_OF_SQUARES, "1-ratio"),
         notes="1 minus the squared-error sum over the total sum of squares",
     ))
     defs.append(MetricDefinition(
-        "MASE", "Mean Absolute Scaled Error", Category.COMPOSITE,
-        dimension=Dimension.DIMENSIONLESS, requires="in-sample history",
+        "MASE", "Mean Absolute Scaled Error", Category.COMPOSITE, recipe=DerivedRecipe("MAE", NAIVE_SCALE),
         notes="scales MAE by the naive one-step error of the in-sample history",
     ))
-    defs.append(MetricDefinition(
-        "RMAE", "Relative Mean Absolute Error", Category.COMPOSITE,
-        aliases=("RelMAE",), dimension=Dimension.DIMENSIONLESS,
-        requires="benchmark",
-    ))
-    defs.append(MetricDefinition(
-        "RelRMSE", "Relative Root Mean Square Error", Category.COMPOSITE,
-        aliases=("TheilsU", "U2"), dimension=Dimension.DIMENSIONLESS,
-        requires="benchmark",
-    ))
-    defs.append(MetricDefinition(
-        "LMR", "Log Mean Squared Error Ratio", Category.COMPOSITE,
-        dimension=Dimension.DIMENSIONLESS, requires="benchmark",
-        notes="natural log of the RMSE ratio; negative favors the candidate",
-    ))
-    defs.append(MetricDefinition(
-        "RGRMSE", "Relative Geometric Root Mean Squared Error", Category.COMPOSITE,
-        dimension=Dimension.DIMENSIONLESS, requires="benchmark",
-    ))
+    for abbr, name, base, combine, aliases, notes in (
+        ("RMAE", "Relative Mean Absolute Error", "MAE", "ratio", ("RelMAE",), ""),
+        ("RelRMSE", "Relative Root Mean Square Error", "RMSE", "ratio", ("TheilsU", "U2"), ""),
+        ("LMR", "Log Mean Squared Error Ratio", "RMSE", "log-ratio", (),
+         "natural log of the RMSE ratio; negative favors the candidate"),
+        ("RGRMSE", "Relative Geometric Root Mean Squared Error", "GRMSE", "ratio", (), ""),
+    ):
+        defs.append(MetricDefinition(
+            abbr, name, Category.COMPOSITE, aliases=aliases, notes=notes,
+            recipe=DerivedRecipe(base, BENCHMARK_BASE, combine),
+        ))
 
     # catalogued but out of scope
     for abbr, name, category, reason in (
@@ -470,9 +504,7 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         ("CumRAE", "Cumulative Relative Absolute Error", Category.COMPOSITE,
          "cumulative benchmark-relative form not implemented; see RAE and RMAE"),
     ):
-        defs.append(MetricDefinition(
-            abbr, name, category, dimension=Dimension.DIMENSIONLESS, stub_reason=reason,
-        ))
+        defs.append(MetricDefinition(abbr, name, category, stub_reason=reason))
 
     catalog: dict[str, MetricDefinition] = {}
     for d in defs:
@@ -575,28 +607,77 @@ def evaluate_named(
 ) -> MetricResult:
     """Evaluate a primary catalog metric on a pair.
 
-    A variant with a composition runs through the pipeline, KLD and JD
-    weight the pipeline's log ratios, and the direct-only variants run
-    their closed form.  Extended and composite metrics raise
-    RequiresBenchmark: ``derived.evaluate_metric`` evaluates them.
+    A variant runs its composition through the pipeline or evaluates its
+    recipe; KLD and JD weight the pipeline's log ratios.  Extended and
+    composite metrics raise RequiresBenchmark: ``derived.evaluate_metric``
+    evaluates them.
     """
     defn = lookup(name)
     if defn.implemented and defn.category is not Category.PRIMARY:
         raise RequiresBenchmark(defn.abbreviation, "more than the per-point pipeline")
     check(defn, variant)
 
-    comp = defn.composition if variant is None else defn.variants[variant].composition
-    if comp is not None:
-        return evaluate(pair, comp, policy)
-    if defn.log_weight is not None:
-        pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
+    spec = defn if variant is None else defn.variants[variant]
+    if spec.recipe is not None:
+        return evaluate_recipe(pair, spec.recipe, policy)[0]
+    if spec.composition is not None:
+        return evaluate(pair, spec.composition, policy)
+    pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
+    with np.errstate(over="ignore", invalid="ignore"):
         weights = defn.log_weight(pair.actuals, pair.predicted)
         if not pv.clean:
             weights = weights[pv.usable]
         value = float(np.sum(weights * pv.usable_values()))
-        return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, pv.actions)
-    value = defn.direct(pair.actuals, pair.predicted, policy, variant)
-    return MetricResult(float(value), defn.dimension, pair.n, 0, ())
+    if not math.isfinite(value):
+        raise RangeOverflow("weighted sum of log ratios")
+    return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, pv.actions)
+
+
+def evaluate_recipe(
+    pair: SeriesPair,
+    recipe: DerivedRecipe,
+    policy: EvaluationPolicy = FAIL_FAST,
+    benchmark: SeriesPair | None = None,
+    in_sample: np.ndarray | None = None,
+) -> tuple[MetricResult, float, float]:
+    """Evaluate a derived recipe: (result, base value on the pair, statistic).
+
+    The statistic comes first: too few points, a non-finite history, a
+    statistic beyond the floating-point range and a zero statistic all
+    raise before the base metric runs on the pair.  The result carries the
+    base run's point counts and policy records.
+    """
+    base = lookup(recipe.base)
+    stat = recipe.statistic
+    if stat.of is None:
+        if not np.array_equal(pair.actuals, benchmark.actuals):
+            raise BenchmarkMismatch()
+        den = evaluate(benchmark, base.composition, policy).value
+    else:
+        series = np.asarray(in_sample if stat.requires else pair.actuals, dtype=float)
+        if series.ndim != 1 or series.size < stat.min_points:
+            raise InsufficientData(stat.too_few)
+        if not np.isfinite(series).all():
+            raise ValidationError(f"{stat.requires} contains non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = float(stat.of(series))
+        if not math.isfinite(den):
+            raise RangeOverflow(stat.name)
+    if abs(den) < NEAR_ZERO:
+        zero = stat.zero or f"{stat.name} is zero"
+        raise ZeroDenominator(message=zero.format(base=base.abbreviation))
+
+    result = evaluate(pair, base.composition, policy)
+    value = result.value / den
+    if recipe.combine == "1-ratio":
+        value = 1.0 - value
+    elif recipe.combine == "log-ratio":
+        if value <= 0:
+            raise LogDomain(value)
+        value = float(np.log(value))
+    if recipe.post is not None:
+        value = apply_post(value, recipe.post)
+    return replace(result, value=value, dimension=Dimension.DIMENSIONLESS), result.value, den
 
 
 def direct_formula(

@@ -12,11 +12,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import rel_close
-from metricgrid import cli
+from conftest import CORPUS_SEED, rel_close
+from metricgrid import cli, formulas
 from metricgrid.chart import blank_cells, build_chart
 from metricgrid.derived import (
     coefficient_of_determination,
+    evaluate_metric,
     extended,
     mase,
     relative_metric,
@@ -92,6 +93,32 @@ def test_criterion_2_oracle_equivalence(corpus):
                 direct = defn.direct(a, p, FAIL_FAST, None)
                 assert rel_close(pipeline, direct), (defn.abbreviation, pipeline, direct)
         assert time.perf_counter() - start < 10.0
+
+
+def test_criterion_2_recipes_match_closed_forms(corpus):
+    with criterion(2, "every derived recipe equals its closed form on 1000 random pairs (1e-12 rel)"):
+        relative = {"RMAE": formulas.rmae, "RelRMSE": formulas.relrmse, "LMR": formulas.lmr,
+                    "RGRMSE": formulas.rgrmse}
+        recipes = [(d, None) for d in list_metrics() if d.recipe is not None]
+        recipes += [(d, v) for d in list_metrics() for v, spec in d.variants.items() if spec.recipe]
+        rng = np.random.default_rng(CORPUS_SEED + 3)
+        for pair in corpus:
+            a, p = pair.actuals, pair.predicted
+            while True:  # nonzero benchmark errors keep GRMSE defined
+                b = rng.uniform(0.5, 10.0, pair.n)
+                if np.abs(a - b).min() > 1e-6:
+                    break
+            history = rng.uniform(0.5, 10.0, 8)
+            for defn, variant in recipes:
+                abbr = defn.abbreviation
+                got = evaluate_metric(pair, abbr, FAIL_FAST, variant, SeriesPair(a, b), history)[0].value
+                if abbr in relative:
+                    want = relative[abbr](a, p, b)
+                elif abbr == "MASE":
+                    want = formulas.mase(a, p, history)
+                else:
+                    want = defn.direct(a, p, FAIL_FAST, variant)
+                assert rel_close(got, want), (abbr, variant, got, want)
 
 
 def test_criterion_3_identity_suite(corpus):

@@ -513,3 +513,35 @@ def test_overflowing_distance_is_an_error_entry(capsys, tmp_path):
     assert [e["error"]["type"] for e in entries] == ["DistanceOverflow"] * 3
     assert all("index 0" in e["error"]["message"] for e in entries)
     assert err == ""
+
+
+@pytest.mark.parametrize("data", [
+    '{"actual": [1e308, 1e308, 1], "predicted": [1.5e308, 1.7e308, 2]}',
+    '{"actual": [1e308, -1e308, 1], "predicted": [-1e308, 1e308, 2]}',
+])
+@pytest.mark.parametrize("flags", [
+    [], ["--on-zero-denominator", "skip", "--on-nonpositive-log", "skip"],
+    ["--epsilon", "smallest-nonzero", "--on-nonpositive-log", "skip"],
+])
+def test_values_near_double_range_give_finite_values_or_typed_errors(capsys, tmp_path, data, flags):
+    from metricgrid import errors, registry
+
+    members = [f"{d.abbreviation}:{v}" if v else d.abbreviation
+               for d in registry.list_metrics() if d.requires is None for v in (None, *d.variants)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite_definitions": {"pair-only": {"members": members}}}))
+    path = tmp_path / "huge.json"
+    path.write_text(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--input", str(path), "--config", str(config),
+                             "--suite", "pair-only", *flags)
+    assert code == 1
+    assert err == ""
+    entries = json.loads(out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))["metrics"]
+    assert len(entries) == len(members)
+    for e in entries:
+        if "error" in e:
+            assert issubclass(getattr(errors, e["error"]["type"]), errors.EvaluationError), e
+        else:
+            assert math.isfinite(e["value"]), e

@@ -45,9 +45,12 @@ from metricgrid.errors import (
     HarmonicMeanDomain,
     NonFiniteResult,
     NonpositiveLogRatio,
+    NormalizerOverflow,
+    RangeOverflow,
     SqrtDomain,
     ZeroDenominator,
 )
+from metricgrid import formulas
 
 PAIR = validate_series_pair([1, 2, 3, 4], [2, 2, 5, 3])
 SKIP_ZERO = EvaluationPolicy(zero_denominator=ZeroDenominatorPolicy.SKIP)
@@ -380,6 +383,76 @@ class TestOverflow:
         with pytest.raises(NonFiniteResult) as info:
             MetricResult(value, Dimension.SAME_AS_DATA, 3, 0)
         assert info.value.value is value
+
+
+class TestRangeOverflow:
+    """Bases, aggregates and log quotients beyond double range, from finite
+    inputs: a typed error or the right finite value, never a warning (the
+    suite turns every RuntimeWarning into an error)."""
+
+    BIG_SUM = validate_series_pair([1e308, 1e308, 1], [1.5e308, 1.7e308, 2])
+
+    @pytest.mark.parametrize(
+        "name,variant",
+        [("FB", None), ("sMAPE", None), ("sMAPE", "absolute"), ("CM", None),
+         ("MRAE", None), ("RAE", "option1"), ("GMRAE", None)],
+    )
+    def test_normalizer_base_names_the_first_overflowing_point(self, name, variant):
+        # A + P and the mean of A overflow; FB and sMAPE used to read -0.22 and 22.2
+        with pytest.raises(NormalizerOverflow) as info:
+            evaluate_named(self.BIG_SUM, name, variant=variant)
+        assert info.value.index == 0
+
+    def test_squared_base_overflow_is_refused(self):
+        # the squared error is finite, the squared actual is not
+        pair = validate_series_pair([2.0, 1e160], [3.0, 1e160 * (1 + 1e-10)])
+        with pytest.raises(NormalizerOverflow) as info:
+            evaluate_named(pair, "MSPE")
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("kind", [AggKind.MEAN, AggKind.SUM, AggKind.TRUNCATED_MEAN])
+    def test_aggregate_beyond_double_range_is_refused(self, kind):
+        with pytest.raises(RangeOverflow):
+            aggregate(vector([1e308, 1e308, 1.0]), Aggregator(kind))
+
+    def test_large_finite_aggregate_keeps_its_bits(self):
+        v = vector([1e307, 3e307, 5e307])
+        assert aggregate(v, Aggregator(AggKind.MEAN)) == float(np.mean(v.values))
+        assert aggregate(v, Aggregator(AggKind.SUM)) == float(np.sum(v.values))
+
+    @pytest.mark.parametrize(
+        "actual,predicted",
+        [([1e-5, 2.0], [1e308, 3.0]),      # P/A overflows
+         ([1e-10, 2.0], [1e300, 3.0]),
+         ([1e300, 2.0], [1e-10, 3.0]),     # P/A underflows
+         ([-1e300, 2.0], [-1e-10, 3.0])],
+    )
+    def test_log_quotient_beyond_double_range_is_usable(self, actual, predicted):
+        pair = validate_series_pair(actual, predicted)
+        a, p = pair.actuals, pair.predicted
+        mdlar = evaluate_named(pair, "MdLAR").value
+        assert math.isfinite(mdlar)
+        assert mdlar == pytest.approx(formulas.mdlar(a, p), rel=1e-12)
+        by_hand = [math.log(abs(float(y))) - math.log(abs(float(x))) for x, y in zip(a, p)]
+        assert mdlar == pytest.approx(sum(by_hand) / 2, rel=1e-12)
+
+    def test_kld_is_finite_where_its_sum_is(self):
+        for actual, predicted in (([1e-10, 2.0], [1e300, 3.0]), ([1e300, 2.0], [1e-10, 3.0])):
+            pair = validate_series_pair(actual, predicted)
+            kld = evaluate_named(pair, "KLD").value
+            assert kld == pytest.approx(formulas.kld(pair.actuals, pair.predicted), rel=1e-12)
+
+    def test_kld_beyond_double_range_is_refused(self):
+        # 1e308 * ln(1e313) is about 7.2e310, out of range
+        pair = validate_series_pair([1e-5, 2.0], [1e308, 3.0])
+        with pytest.raises(RangeOverflow):
+            evaluate_named(pair, "KLD")
+
+    @pytest.mark.parametrize("name", ["MdSA", "MNAFE", "MNFB"])
+    def test_exponential_of_a_huge_log_is_refused(self, name):
+        pair = validate_series_pair([1e-5], [1e308])
+        with pytest.raises(RangeOverflow):
+            evaluate_named(pair, name)
 
 
 class TestDimensionRules:
