@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -475,6 +475,13 @@ def render_report_delimited(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dumps(obj: Any, default: Callable[[Any], Any] | None = None) -> str:
+    """Every JSON output's text: indented, keys sorted, strict.  A NaN or
+    infinity raises ValueError rather than being written as ``NaN`` or
+    ``Infinity``, which are not JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default)
+
+
 def _action_list(obj: Any) -> list[dict[str, Any]]:
     """An ActionLog as the JSON list it stands for; any other object is
     refused as ``json.dumps`` refuses it."""
@@ -503,8 +510,8 @@ def _action_block(log: ActionLog, indent: str) -> str:
 
 
 def _render_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, with each
-    ActionLog written as its list of ``{"action", "index"}`` objects.
+    """``_dumps(report) + "\\n"``, with each ActionLog written as its list
+    of ``{"action", "index"}`` objects.
 
     Every non-empty log is first dumped as a numbered placeholder string;
     its list is then written at the placeholder's indent without building
@@ -518,10 +525,10 @@ def _render_json(report: dict) -> str:
             return f"{_LOG_MARK}{len(logs) - 1}"
         return _action_list(obj)
 
-    parts = _LOG_SLOT.split(json.dumps(report, indent=2, sort_keys=True, default=slot))
+    parts = _LOG_SLOT.split(_dumps(report, slot))
     if parts[1::2] != [str(i) for i in range(len(logs))]:
         # a string of the report spells a placeholder: build every list instead
-        return json.dumps(report, indent=2, sort_keys=True, default=_action_list) + "\n"
+        return _dumps(report, _action_list) + "\n"
     out = []
     for text, log in zip(parts[::2], logs):
         line = text[text.rfind("\n") + 1:]
@@ -655,7 +662,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     cell = parse_cell(args.cell) if args.cell else None
     defs = registry.list_metrics(category=category, cell=cell, include_stubs=args.include_stubs)
     if args.format == "json":
-        _emit(json.dumps([d.to_record() for d in defs], indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_dumps([d.to_record() for d in defs]) + "\n", args.out)
         return 0
     if args.format == "delimited":
         lines = ["abbreviation,name,category,dimension,implemented"]
@@ -684,7 +691,7 @@ def cmd_suites(args: argparse.Namespace) -> int:
             {"name": s.name, "members": list(s.members), "rationale": s.rationale}
             for s in pool.values()
         ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
         return 0
     lines = []
     for name in sorted(pool):

@@ -5,11 +5,17 @@ normalization with degeneracy policy, an optional per-point transform,
 aggregation to a scalar, then post-transforms.  The stages are exposed
 individually so compositions can be inspected or reused piecemeal.
 
-No stage writes to its inputs: arithmetic runs in place only on arrays
-the stage itself allocated in that call.  A clean vector, one where every
-point is usable, carries its pair's one read-only all-True mask
-(``SeriesPair.all_points``), so clean data is never masked, gathered or
-copied; masks are built only where the policy touches a point.
+No stage writes to its inputs: a stage writes only arrays it allocated
+itself in that call, or the ``out`` its caller passes it (NumPy's ufunc
+convention; ``out`` may be ``points.values``).  ``aggregate`` may reorder
+or overwrite the point values only when given ``overwrite_input=True``.
+``evaluate`` passes every stage the array ``point_distances`` allocated,
+so a clean composition needs no other point-length float array than that
+one and, where the normalizer has one, its base.  A clean vector, one
+where every point is usable, carries its pair's one read-only all-True
+mask (``SeriesPair.all_points``), so clean data is never masked, gathered
+or copied; masks are built only where the policy touches a point or a
+check has failed.
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ EPSILON_CORRECTED = "epsilon-corrected"
 
 _ERROR_DISTANCES = (Distance.ERROR, Distance.ABSOLUTE_ERROR, Distance.SQUARED_ERROR)
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# reductions whose result lies within the range of the values they reduce
+_SCALABLE = (AggKind.MEAN, AggKind.MEDIAN, AggKind.TRUNCATED_MEAN, AggKind.WINSORIZED_MEAN)
 
 
 def point_distances(
@@ -83,19 +91,19 @@ def point_distances(
                 np.abs(d, out=d)
             elif kind is Distance.SQUARED_ERROR:
                 np.square(d, out=d)
-        finite = np.isfinite(d)
-        if not finite.all():
-            raise DistanceOverflow(int(np.argmin(finite)))
+        if not -math.inf < d.min() <= d.max() < math.inf:
+            raise DistanceOverflow(int(np.argmin(np.isfinite(d))))
         return PointVector(d, pair.all_points)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         ratio = p / a
-    # a positive quotient that neither overflowed nor underflowed
-    normal = (ratio >= _SMALLEST_NORMAL) & (ratio < np.inf)
-    if normal.all():
+    # every quotient positive, and none overflowed or underflowed (a NaN
+    # from 0/0 fails both tests)
+    if ratio.min() >= _SMALLEST_NORMAL and ratio.max() < np.inf:
         usable, actions = pair.all_points, NO_ACTIONS
         values = np.log(ratio, out=ratio)
     else:
+        normal = (ratio >= _SMALLEST_NORMAL) & (ratio < np.inf)
         # P/A is positive exactly when P and A are nonzero and of one sign
         usable = (a != 0) & (p != 0) & (np.signbit(a) == np.signbit(p))
         actions = NO_ACTIONS
@@ -131,10 +139,12 @@ def _normalizer_base(pair: SeriesPair, spec: NormalizerSpec) -> np.ndarray:
         if spec.kind is NormKind.BY_SUM:
             if not spec.absolute:
                 return a + p
-            # absolute variant sums magnitudes, it is not |A + P|
-            base = np.abs(a)
-            base += np.abs(p)
-            return base
+            # absolute variant sums magnitudes, it is not |A + P|; |P| - A
+            # is |P| + |A| exactly where A is negative, with no second array
+            base = np.abs(p)
+            negative = np.signbit(a)
+            np.subtract(base, a, out=base, where=negative)
+            return np.add(base, a, out=base, where=~negative)
     if spec.kind is NormKind.BY_MAX:
         return np.maximum(a, p)
     if spec.kind is NormKind.BY_MIN:
@@ -159,20 +169,34 @@ def _near_zero(base: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
     lo, hi = _extremes(base)
     if lo >= NEAR_ZERO or hi <= -NEAR_ZERO:
         return None
-    degenerate = usable & (np.abs(base) < NEAR_ZERO)
+    # |base| < NEAR_ZERO with no float temporary
+    degenerate = base < NEAR_ZERO
+    degenerate &= base > -NEAR_ZERO
+    degenerate &= usable
     return degenerate if degenerate.any() else None
 
 
-def _scaled(op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray) -> np.ndarray:
-    """op(factor * values, other) as one new array; ``values`` is not written.
+def _scaled(
+    op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray, out: np.ndarray | None,
+) -> np.ndarray:
+    """op(factor * values, other), written into ``out`` or into one new array.
 
     A quotient or product beyond the floating-point range is left as inf
     for ``aggregate`` to refuse."""
     with np.errstate(over="ignore"):
         if factor == 1.0:
-            return op(values, other)
-        out = np.multiply(values, factor)
+            return op(values, other, out=out)
+        out = np.multiply(values, factor, out=out)
         return op(out, other, out=out)
+
+
+def _into(points: PointVector, out: np.ndarray | None) -> PointVector:
+    """What a stage with nothing to compute returns: ``points`` itself, or
+    its values copied into the caller's ``out``."""
+    if out is None or out is points.values:
+        return points
+    np.copyto(out, points.values)
+    return PointVector(out, points.usable, points.actions)
 
 
 def normalize(
@@ -180,6 +204,8 @@ def normalize(
     pair: SeriesPair,
     spec: NormalizerSpec,
     policy: EvaluationPolicy = FAIL_FAST,
+    *,
+    out: np.ndarray | None = None,
 ) -> PointVector:
     """Divide point values by the normalizer base raised to its exponent.
 
@@ -188,17 +214,19 @@ def normalize(
     them, or add an epsilon to the base before dividing.  Exponent -1
     multiplies by the base instead and has no degenerate case.  A base,
     or squared base, beyond the floating-point range raises
-    NormalizerOverflow whatever the policy.
+    NormalizerOverflow whatever the policy.  The values are written into
+    ``out`` when it is given (it may be ``points.values``), else into a
+    new array.
     """
     if spec.kind is NormKind.UNITARY:
-        return points
+        return _into(points, out)
     base = _normalizer_base(pair, spec)
     usable = points.usable
     actions = points.actions
 
     if spec.exponent == -1:
         _extremes(base)  # refuses a base beyond the floating-point range
-        return PointVector(_scaled(np.multiply, points.values, spec.factor, base), usable, actions)
+        return PointVector(_scaled(np.multiply, points.values, spec.factor, base, out), usable, actions)
 
     clean = points.clean
     degenerate = _near_zero(base, usable)
@@ -233,27 +261,33 @@ def normalize(
         if base.max() == np.inf:
             raise NormalizerOverflow(int(np.argmax(base == np.inf)))
     if clean:
-        return PointVector(_scaled(np.divide, points.values, spec.factor, base), usable, actions)
+        return PointVector(_scaled(np.divide, points.values, spec.factor, base, out), usable, actions)
     values = np.where(usable, points.values, 0.0)
     safe = np.where(usable, base, 1.0)
-    return PointVector(_scaled(np.divide, values, spec.factor, safe), usable, actions)
+    return PointVector(_scaled(np.divide, values, spec.factor, safe, out), usable, actions)
 
 
 def apply_point_transform(
     points: PointVector,
     pair: SeriesPair,
     transform: PointTransform,
+    *,
+    out: np.ndarray | None = None,
 ) -> PointVector:
-    """Apply the optional per-point map to normalized values."""
+    """Apply the optional per-point map to normalized values, written into
+    ``out`` when it is given (it may be ``points.values``), else into a
+    new array."""
     if transform is PointTransform.IDENTITY:
-        return points
+        return _into(points, out)
     # a value beyond the floating-point range is left as inf for ``aggregate``
     with np.errstate(over="ignore"):
-        values = np.expm1(points.values)
-        if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
-            # sign(0) = 0: a perfect point contributes nothing to the bias
-            sign = pair.predicted - pair.actuals
-            values *= np.sign(sign, out=sign)
+        values = np.expm1(points.values, out=out)
+    if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
+        # times sign(P - A), and sign(0) = 0: a perfect point contributes
+        # nothing to the bias
+        a, p = pair.actuals, pair.predicted
+        np.multiply(values, -1.0, out=values, where=p < a)
+        np.multiply(values, 0.0, out=values, where=p == a)
     return PointVector(values, points.usable, points.actions)
 
 
@@ -261,31 +295,54 @@ def aggregate(
     points: PointVector,
     aggregator: Aggregator,
     policy: EvaluationPolicy = FAIL_FAST,
+    *,
+    overwrite_input: bool = False,
 ) -> float:
     """Collapse the usable point values to one number.
 
     The geometric mean is undefined when any usable value is zero or
     negative and the harmonic mean when any is zero; both raise regardless
-    of policy.  An aggregate beyond the floating-point range, such as the
-    sum of large finite values, raises RangeOverflow.
+    of policy.  A mean, median, truncated or winsorized mean whose running
+    sum leaves the floating-point range is computed again on the values
+    scaled by a power of two; a sum beyond that range raises RangeOverflow.
+    With ``overwrite_input`` (NumPy's ``np.median`` name) the point values
+    may be reordered or overwritten: sorted, partitioned or logged in place.
     """
     v = points.usable_values()
     if v.size == 0:
         raise EmptyAggregation()
+    # a gathered subset is this call's own array
+    overwrite = overwrite_input or v is not points.values
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _reduce(v, aggregator)
+        value = _reduce(v, aggregator, overwrite)
+        if not math.isfinite(value) and aggregator.kind in _SCALABLE:
+            value = _rescaled(v, aggregator)
     if not math.isfinite(value):
         raise RangeOverflow("aggregate of the point values")
     return value
 
 
-def _reduce(v: np.ndarray, aggregator: Aggregator) -> float:
+def _rescaled(v: np.ndarray, aggregator: Aggregator) -> float:
+    """The reduction taken on ``v / 2**k`` and multiplied back by 2**k,
+    where 2**k exceeds the number of values: no running sum of the scaled
+    values leaves the floating-point range.  Scaling by a power of two is
+    exact for every value not within a factor 2**k of the subnormals."""
+    k = v.size.bit_length()
+    with np.errstate(under="ignore"):
+        scaled = _reduce(np.ldexp(v, -k), aggregator, True)
+    try:
+        return math.ldexp(scaled, k)
+    except OverflowError:
+        return math.inf
+
+
+def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
     m = v.size
     kind = aggregator.kind
     if kind is AggKind.MEAN:
         return float(v.mean())
     if kind is AggKind.MEDIAN:
-        return float(np.median(v))
+        return float(np.median(v, overwrite_input=overwrite))
     if kind is AggKind.GEOMETRIC_MEAN:
         if v.min() <= 0:
             raise GeometricMeanDomain()
@@ -294,7 +351,7 @@ def _reduce(v: np.ndarray, aggregator: Aggregator) -> float:
         if 0.0 < product < np.inf:
             return float(product ** (1.0 / m))
         # the running product left double range; the log form cannot
-        return float(np.exp(np.mean(np.log(v))))
+        return float(np.exp(np.mean(np.log(v, out=v if overwrite else None))))
     if kind is AggKind.SUM:
         return float(v.sum())
     if kind is AggKind.MAXIMUM:
@@ -302,9 +359,13 @@ def _reduce(v: np.ndarray, aggregator: Aggregator) -> float:
     if kind is AggKind.HARMONIC_MEAN:
         if (v == 0).any():
             raise HarmonicMeanDomain()
-        return float(m / np.sum(1.0 / v))
+        return float(m / np.sum(np.divide(1.0, v, out=v if overwrite else None)))
     k = int(aggregator.fraction * m)
-    s = np.sort(v)
+    if overwrite:
+        v.sort()
+        s = v
+    else:
+        s = np.sort(v)
     if kind is AggKind.TRUNCATED_MEAN:
         return float(s[k:m - k].mean())
     if kind is AggKind.WINSORIZED_MEAN:
@@ -359,9 +420,11 @@ def evaluate(
     an aggregation or transform domain is violated.
     """
     pv = point_distances(pair, comp.distance, policy)
-    pv = normalize(pv, pair, comp.normalizer, policy)
-    pv = apply_point_transform(pv, pair, comp.transform)
-    value = aggregate(pv, comp.aggregator, policy)
+    # the distances are this call's own array: every later stage writes there
+    work = pv.values
+    pv = normalize(pv, pair, comp.normalizer, policy, out=work)
+    pv = apply_point_transform(pv, pair, comp.transform, out=work)
+    value = aggregate(pv, comp.aggregator, policy, overwrite_input=True)
     for post in comp.post:
         value = apply_post(value, post)
     return MetricResult(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from metricgrid import SeriesPair, validate_series_pair
+from metricgrid import SeriesPair, registry, validate_series_pair
+from metricgrid.types import MetricComposition
 
 CORPUS_SEED = 20250814
 CORPUS_SIZE = 1000
@@ -46,3 +47,15 @@ def small_corpus() -> list[SeriesPair]:
 def rel_close(got: float, want: float, tol: float = 1e-12) -> bool:
     """Relative closeness with an absolute floor of tol at magnitude 1."""
     return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def catalog_compositions() -> list[tuple[str, MetricComposition]]:
+    """Every composition in the catalog, entries and variants, labelled
+    ``NAME`` or ``NAME:variant``."""
+    out = []
+    for d in registry.list_metrics():
+        if d.composition is not None:
+            out.append((d.abbreviation, d.composition))
+        out += [(f"{d.abbreviation}:{v}", spec.composition)
+                for v, spec in d.variants.items() if spec.composition is not None]
+    return out

@@ -10,7 +10,11 @@ than in ``perfbench/run.py --trace 1``.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import catalog_compositions
+from metricgrid import evaluator, validate_series_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -57,3 +61,25 @@ def test_traced_sweep_gives_the_same_values(sweep):
     summary = tracer.summary()
     assert summary["registry.evaluate_named.calls"] == len(workloads.NAMED)
     assert summary["derived.calls"] == 10
+
+
+STAGES = ("point_distances", "normalize", "apply_point_transform", "aggregate", "apply_post")
+
+
+def test_evaluate_calls_every_stage_through_the_module(monkeypatch):
+    # tracing.py and the staged check see the stages only as module
+    # attributes; a fast path inlined into evaluate() would hide them
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        def counted(*args, _name=name, _stage=getattr(evaluator, name), **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(evaluator, name, counted)
+    rng = np.random.default_rng(8)
+    pair = validate_series_pair(rng.uniform(0.5, 10.0, 50), rng.uniform(0.5, 10.0, 50))
+    compositions = catalog_compositions()
+    assert len(compositions) == 53
+    for label, comp in compositions:
+        calls.update(dict.fromkeys(STAGES, 0))
+        evaluator.evaluate(pair, comp)
+        assert list(calls.values()) == [1, 1, 1, 1, len(comp.post)], label

@@ -2,12 +2,15 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import catalog_compositions
 from metricgrid import (
     Aggregator,
     AggKind,
@@ -351,6 +354,43 @@ class TestEvaluate:
             assert evaluate(pair, comp).value == 0.0
 
 
+class TestAllocation:
+    """``evaluate`` computes in the one array ``point_distances`` allocates.
+
+    tracemalloc sees NumPy's data buffers, so the traced peak of one call
+    on a clean pair counts the point-length arrays it holds at once: the
+    distances, the normalizer's base where it has to build one, and at
+    most two boolean masks of a check.  No timing, so no flakiness."""
+
+    N = 100_000
+    FLOAT = 8 * N
+    SLACK = 2 * N + 64 * 1024
+
+    @staticmethod
+    def builds_base(spec):
+        if spec.kind is NormKind.UNITARY:
+            return False
+        # plain BY_ACTUALS divides by the pair's own actuals unless squared
+        return spec.kind is not NormKind.BY_ACTUALS or spec.absolute or spec.exponent == 2
+
+    def test_peak_is_the_distances_and_the_base(self):
+        rng = np.random.default_rng(11)
+        pair = validate_series_pair(rng.uniform(1.0, 10.0, self.N), rng.uniform(1.0, 10.0, self.N))
+        over = {}
+        for label, comp in catalog_compositions():
+            evaluate(pair, comp)  # the pair's shared mask is built once, untraced
+            tracemalloc.start()
+            try:
+                evaluate(pair, comp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            limit = self.FLOAT * (1 + self.builds_base(comp.normalizer)) + self.SLACK
+            if peak > limit:
+                over[label] = round(peak / self.FLOAT, 3)
+        assert over == {}
+
+
 class TestOverflow:
     """Finite inputs whose distances leave double range raise, without a warning."""
 
@@ -410,10 +450,31 @@ class TestRangeOverflow:
             evaluate_named(pair, "MSPE")
         assert info.value.index == 1
 
-    @pytest.mark.parametrize("kind", [AggKind.MEAN, AggKind.SUM, AggKind.TRUNCATED_MEAN])
+    @pytest.mark.parametrize("kind", [AggKind.SUM])
     def test_aggregate_beyond_double_range_is_refused(self, kind):
         with pytest.raises(RangeOverflow):
             aggregate(vector([1e308, 1e308, 1.0]), Aggregator(kind))
+
+    @pytest.mark.parametrize("kind", [AggKind.MEAN, AggKind.TRUNCATED_MEAN])
+    def test_aggregate_whose_running_sum_overflows_is_finite(self, kind):
+        # the sum leaves double range, the mean (2e308 + 1) / 3 does not
+        values = [1e308, 1e308, 1.0]
+        exact = float(sum(map(Fraction, values)) / 3)
+        assert aggregate(vector(values), Aggregator(kind)) == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "aggregator,values,expected",
+        [(Aggregator(AggKind.MEDIAN), [1e308, 1.5e308], 1.25e308),
+         (Aggregator(AggKind.WINSORIZED_MEAN, 0.25), [1.0, 1.5e308, 1.5e308, 1e308], 1.25e308),
+         (Aggregator(AggKind.TRUNCATED_MEAN, 0.25), [1.0, 1.5e308, 1.5e308, 1.7e308], 1.5e308)],
+    )
+    def test_order_aggregate_whose_sum_overflows_is_finite(self, aggregator, values, expected):
+        assert aggregate(vector(values), aggregator) == pytest.approx(expected, rel=1e-15)
+
+    def test_mean_error_near_double_range_is_the_error(self):
+        pair = validate_series_pair([1e308, 1e308], [0.0, 0.0])
+        for name in ("MAE", "MdAE", "ME"):
+            assert evaluate_named(pair, name).value == 1e308
 
     def test_large_finite_aggregate_keeps_its_bits(self):
         v = vector([1e307, 3e307, 5e307])

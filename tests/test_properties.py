@@ -4,10 +4,19 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_close
+from conftest import catalog_compositions, rel_close
 from metricgrid import formulas as F
+from metricgrid.cli import parse_cell
 from metricgrid.errors import MetricError
-from metricgrid.evaluator import aggregate, apply_point_transform, normalize, point_distances
+from metricgrid.evaluator import (
+    aggregate,
+    apply_point_transform,
+    apply_post,
+    dimension_of,
+    evaluate,
+    normalize,
+    point_distances,
+)
 from metricgrid.registry import composed_definitions, evaluate_named
 from metricgrid.types import (
     Aggregator,
@@ -15,6 +24,8 @@ from metricgrid.types import (
     Distance,
     EvaluationPolicy,
     LogRatioPolicy,
+    MetricComposition,
+    MetricResult,
     NormalizerSpec,
     NormKind,
     PointTransform,
@@ -266,15 +277,73 @@ class TestStagesDoNotWriteInputs:
                         normed = normalize(distances, pair, spec, policy)
                     except MetricError:
                         continue
+                    # with ``out`` only ``out`` is written, and it holds the values
+                    own = distances.values.copy()
+                    for given, out in ((distances, np.empty(pair.n)),
+                                       (PointVector(own, distances.usable, distances.actions), own)):
+                        written = normalize(given, pair, spec, policy, out=out)
+                        assert written.values is out
+                        assert out.tobytes() == normed.values.tobytes()
                     normed, kept_normed = read_only(normed)
                     for transform in PointTransform:
-                        apply_point_transform(normed, pair, transform)
+                        plain = apply_point_transform(normed, pair, transform)
+                        out = np.empty(pair.n)
+                        assert apply_point_transform(normed, pair, transform, out=out).values is out
+                        assert out.tobytes() == plain.values.tobytes()
                     for aggregator in AGGREGATORS:
                         try:
                             aggregate(normed, aggregator, policy)
+                        except MetricError:
+                            pass
+                        writable = PointVector(normed.values.copy(), normed.usable, normed.actions)
+                        try:
+                            aggregate(writable, aggregator, policy, overwrite_input=True)
                         except MetricError:
                             pass
                     normed.usable_values()
                     assert unchanged(kept_normed)
                 assert unchanged(kept_distances)
         assert unchanged(kept)
+
+
+# --- evaluate() computes in place what the stages compute ------------------
+
+GRID = [parse_cell(f"d{d},n{n},g{g}") for d in range(1, 6) for n in range(1, 6) for g in range(1, 5)]
+COMPOSITIONS = [MetricComposition(d, NormalizerSpec(n), Aggregator(g)) for d, n, g in GRID] + [
+    comp for _, comp in catalog_compositions()]
+
+
+def outcome(run):
+    """A result as its value's bits, skip count and policy runs; an error
+    as its type and index."""
+    try:
+        result = run()
+    except MetricError as exc:
+        return type(exc).__name__, getattr(exc, "index", None)
+    runs = [(label, indices.tolist()) for label, indices in result.actions.runs]
+    return result.value.hex(), result.points_skipped, runs
+
+
+def staged(pair, comp, policy):
+    """The five stages with their non-writing defaults."""
+    pv = point_distances(pair, comp.distance, policy)
+    pv = normalize(pv, pair, comp.normalizer, policy)
+    pv = apply_point_transform(pv, pair, comp.transform)
+    value = aggregate(pv, comp.aggregator, policy)
+    for post in comp.post:
+        value = apply_post(value, post)
+    return MetricResult(value, dimension_of(comp), pv.n, pv.n - pv.n_usable, pv.actions)
+
+
+class TestOwnedBufferPath:
+    def test_grid_and_catalog_cover_what_they_claim(self):
+        assert len(set(GRID)) == 100
+        assert len(COMPOSITIONS) == 153
+
+    @given(st.one_of(positive_pairs(min_size=1).map(lambda ap: SeriesPair(*ap)), stage_pairs()),
+           st.sampled_from(STAGE_POLICIES))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_agrees_with_the_non_writing_stages(self, pair, policy):
+        for comp in COMPOSITIONS:
+            assert outcome(lambda: evaluate(pair, comp, policy)) == outcome(
+                lambda: staged(pair, comp, policy)), comp

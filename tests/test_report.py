@@ -319,6 +319,15 @@ def test_unknown_object_is_refused_as_json_dumps_refuses_it():
         cli.render_report({"metrics": [], "x": 1j}, "json")
 
 
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("actions", [NO_ACTIONS, ActionLog([("epsilon-corrected", [2])])])
+def test_non_finite_number_is_refused_not_written(number, actions):
+    # NaN and Infinity are not JSON; a strict reader would reject the report
+    report = {"metrics": [{"actions": actions, "name": "A", "value": number}]}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.render_report(report, "json")
+
+
 # --- the staged route and the evaluator's own result ----------------------------------
 
 # log skips at 0 (zero actual) and 1 (negative ratio); points 2 and 5 sit on
