@@ -7,7 +7,8 @@ metric failed to evaluate, 2 the configuration or input could not be used
 at all.  Every named metric, from ``--metrics`` or a suite, passes
 ``registry.check`` before any data is evaluated and is then evaluated by
 ``derived.evaluate_metric``; only ad-hoc ``--composition`` descriptors go
-straight to the pipeline.
+straight to the pipeline.  One writer, ``_json``, writes every JSON
+output: the report, ``list --format json`` and ``suites --format json``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 import warnings
 from dataclasses import asdict
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,12 +62,19 @@ from .types import (
 # --- input ingestion -------------------------------------------------------
 
 
+def _open(path: str, mode: str, **kwargs):
+    """``open()``, with a path it cannot open (missing, unreadable,
+    unwritable or holding a NUL byte) raised as FileAccess."""
+    try:
+        return open(path, mode, **kwargs)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise FileAccess(path, reason, "write" if "w" in mode else "read") from exc
+
+
 def _open_text(path: str):
     """The file as UTF-8 text; a leading byte-order mark is dropped."""
-    try:
-        return open(path, encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise FileAccess(path, exc.strerror or str(exc)) from exc
+    return _open(path, "r", encoding="utf-8-sig", newline="")
 
 
 def _load_json(path: str) -> Any:
@@ -475,71 +482,64 @@ def render_report_delimited(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dumps(obj: Any, default: Callable[[Any], Any] | None = None) -> str:
-    """Every JSON output's text: indented, keys sorted, strict.  A NaN or
-    infinity raises ValueError rather than being written as ``NaN`` or
-    ``Infinity``, which are not JSON."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default)
-
-
-def _action_list(obj: Any) -> list[dict[str, Any]]:
-    """An ActionLog as the JSON list it stands for; any other object is
-    refused as ``json.dumps`` refuses it."""
-    if not isinstance(obj, ActionLog):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return [{"action": a.action, "index": a.index} for a in obj]
-
-
-# json.dumps writes the NUL as \u0000, so the placeholder is a string whose
-# rendering is searched for; a report string spelling one is detected below
-_LOG_MARK = "\x00action-log:"
-_LOG_SLOT = re.compile(r'"\\u0000action-log:(\d+)"')
-
-
 def _action_block(log: ActionLog, indent: str) -> str:
     """What ``json.dumps(..., indent=2, sort_keys=True)`` writes for the
     log's action list opened at a line indented by ``indent``: one
     ``str.join`` per run over its indices."""
+    if not log:
+        return "[]"
     inner, key = indent + "  ", indent + "    "
     tail = f"\n{inner}}}"
     runs = []
     for label, indices in log.runs:
-        head = f'{{\n{key}"action": {json.dumps(label)},\n{key}"index": '
+        head = f'{{\n{key}"action": {_encode(label)},\n{key}"index": '
         runs.append(head + f"{tail},\n{inner}{head}".join(map(str, indices.tolist())) + tail)
     return f"[\n{inner}" + f",\n{inner}".join(runs) + f"\n{indent}]"
 
 
-def _render_json(report: dict) -> str:
-    """``_dumps(report) + "\\n"``, with each ActionLog written as its list
-    of ``{"action", "index"}`` objects.
+# strict: a NaN or infinity raises ValueError rather than being written as
+# ``NaN`` or ``Infinity``, which are not JSON
+_encode = json.JSONEncoder(allow_nan=False).encode
 
-    Every non-empty log is first dumped as a numbered placeholder string;
-    its list is then written at the placeholder's indent without building
-    one dict per action.
-    """
-    logs: list[ActionLog] = []
 
-    def slot(obj: Any) -> Any:
-        if isinstance(obj, ActionLog) and len(obj):
-            logs.append(obj)
-            return f"{_LOG_MARK}{len(logs) - 1}"
-        return _action_list(obj)
+def _write_json(obj: Any, indent: str, out: list[str]) -> None:
+    """Append the text ``json.dumps(obj, indent=2, sort_keys=True)`` writes
+    for ``obj`` opened at a line indented by ``indent``; an ActionLog is
+    written as its list of ``{"action", "index"}`` objects."""
+    if isinstance(obj, ActionLog):
+        out.append(_action_block(obj, indent))
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            if not all(isinstance(key, str) for key in obj):
+                raise TypeError("JSON object keys must be strings")
+            out.append("{")
+            for i, key in enumerate(sorted(obj)):
+                out += (",\n" if i else "\n", inner, _encode(key), ": ")
+                _write_json(obj[key], inner, out)
+            out += ("\n", indent, "}")
+        else:
+            out.append("[")
+            for i, item in enumerate(obj):
+                out += (",\n" if i else "\n", inner)
+                _write_json(item, inner, out)
+            out += ("\n", indent, "]")
+    else:
+        out.append(_encode(obj))
 
-    parts = _LOG_SLOT.split(_dumps(report, slot))
-    if parts[1::2] != [str(i) for i in range(len(logs))]:
-        # a string of the report spells a placeholder: build every list instead
-        return _dumps(report, _action_list) + "\n"
-    out = []
-    for text, log in zip(parts[::2], logs):
-        line = text[text.rfind("\n") + 1:]
-        out += (text, _action_block(log, " " * (len(line) - len(line.lstrip(" ")))))
-    out += (parts[-1], "\n")
+
+def _json(obj: Any) -> str:
+    """Every JSON output's text: indented by two, keys sorted, strict, one
+    newline at the end, joined once."""
+    out: list[str] = []
+    _write_json(obj, "", out)
+    out.append("\n")  # not ``+ "\n"`` after the join: that copies the whole text again
     return "".join(out)
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _render_json(report)
+        return _json(report)
     if fmt == "table":
         return render_report_table(report)
     if fmt == "delimited":
@@ -549,7 +549,7 @@ def render_report(report: dict, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -558,24 +558,80 @@ def _emit(text: str, out: str | None) -> None:
 # --- configuration file ---------------------------------------------------------
 
 
+# the flags' choices, which the config keys of the same name share
+_CHOICES = {
+    "input_format": ("csv", "json"),
+    "report": ("json", "table", "delimited"),
+}
+_POLICY_CHOICES = {
+    "zero_denominator": tuple(p.value for p in ZeroDenominatorPolicy),
+    "nonpositive_log_ratio": tuple(p.value for p in LogRatioPolicy),
+}
+_STRING_KEYS = ("input", "actual", "predicted", "benchmark", "in_sample", "out", *_CHOICES)
+
+
 def load_config(path: str | None) -> dict[str, Any]:
+    """The config object without its null values, which mean unset; a
+    known key holding a value of the wrong shape is a ParseError naming
+    it, and an unknown key is ignored."""
     if path is None:
         return {}
     config = _load_json(path)
     if not isinstance(config, dict):
         raise ParseError(f"{path} must hold a JSON object")
+    config = {key: value for key, value in config.items() if value is not None}
+    _check_config(config, path)
     return config
 
 
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _optional_string(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _check_config(config: dict[str, Any], path: str) -> None:
+    def expect(ok: bool, key: str, shape: str) -> None:
+        if not ok:
+            raise ParseError(f"{path}: config key {key!r} must be {shape}")
+
+    def choice(value: Any, key: str, choices: tuple[str, ...]) -> None:
+        expect(value is None or value in choices, key, f"one of {', '.join(choices)}")
+
+    for key in _STRING_KEYS:
+        expect(isinstance(config.get(key, ""), str), key, "a string")
+    for key, choices in _CHOICES.items():
+        choice(config.get(key), key, choices)
+    metrics = config.get("metrics", "")
+    expect(isinstance(metrics, str) or _strings(metrics), "metrics", "a string or a list of strings")
+    for key in ("suites", "compositions"):
+        expect(_strings(config.get(key, [])), key, "a list of strings")
+    variants = config.get("variants", {})
+    expect(isinstance(variants, dict) and all(map(_optional_string, variants.values())),
+           "variants", "an object mapping metric names to variant names")
+    policy = config.get("policy", {})
+    expect(isinstance(policy, dict), "policy", "an object")
+    for key, choices in _POLICY_CHOICES.items():
+        choice(policy.get(key), f"policy.{key}", choices)
+    epsilon = policy.get("epsilon")
+    number_or_text = isinstance(epsilon, (int, float, str)) and not isinstance(epsilon, bool)
+    expect(epsilon is None or number_or_text, "policy.epsilon", "a number or 'smallest-nonzero'")
+    definitions = config.get("suite_definitions", {})
+    expect(isinstance(definitions, dict), "suite_definitions", "an object of suite definitions")
+    for name, body in definitions.items():
+        expect(isinstance(body, dict) and _strings(body.get("members"))
+               and _optional_string(body.get("rationale")),
+               f"suite_definitions.{name}", "an object with a 'members' list of strings "
+               "and a string 'rationale'")
+
+
 def _config_suites(config: dict[str, Any]) -> dict[str, derived.SuiteDefinition]:
-    out = {}
-    for name, body in config.get("suite_definitions", {}).items():
-        if not isinstance(body, dict) or "members" not in body:
-            raise ParseError(f"suite definition {name!r} needs a 'members' list")
-        out[name] = derived.SuiteDefinition(
-            name, tuple(body["members"]), body.get("rationale", "")
-        )
-    return out
+    return {
+        name: derived.SuiteDefinition(name, tuple(body["members"]), body.get("rationale") or "")
+        for name, body in config.get("suite_definitions", {}).items()
+    }
 
 
 def _merge(args_value, config: dict, key: str, default):
@@ -662,7 +718,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     cell = parse_cell(args.cell) if args.cell else None
     defs = registry.list_metrics(category=category, cell=cell, include_stubs=args.include_stubs)
     if args.format == "json":
-        _emit(_dumps([d.to_record() for d in defs]) + "\n", args.out)
+        _emit(_json([d.to_record() for d in defs]), args.out)
         return 0
     if args.format == "delimited":
         lines = ["abbreviation,name,category,dimension,implemented"]
@@ -691,7 +747,7 @@ def cmd_suites(args: argparse.Namespace) -> int:
             {"name": s.name, "members": list(s.members), "rationale": s.rationale}
             for s in pool.values()
         ]
-        _emit(_dumps(payload) + "\n", args.out)
+        _emit(_json(payload), args.out)
         return 0
     lines = []
     for name in sorted(pool):
@@ -716,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="score predictions from a CSV or JSON file")
     p_eval.add_argument("--input", "-i", help="input file (CSV with header, or JSON object)")
-    p_eval.add_argument("--input-format", choices=("csv", "json"), dest="input_format")
+    p_eval.add_argument("--input-format", choices=_CHOICES["input_format"], dest="input_format")
     p_eval.add_argument("--actual", help="actuals column/key (default: actual)")
     p_eval.add_argument("--predicted", help="predictions column/key (default: predicted)")
     p_eval.add_argument("--benchmark", help="benchmark predictions column/key")
@@ -729,7 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--variant", action="append", help="NAME=VARIANT override (repeatable)")
     p_eval.add_argument(
-        "--on-zero-denominator", choices=("fail", "skip", "epsilon"), dest="on_zero_denominator",
+        "--on-zero-denominator", choices=_POLICY_CHOICES["zero_denominator"],
+        dest="on_zero_denominator",
         help="what to do when a normalization denominator is zero (default: fail)",
     )
     p_eval.add_argument(
@@ -737,10 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="epsilon correction: a number, or 'smallest-nonzero' for the smallest nonzero |actual|",
     )
     p_eval.add_argument(
-        "--on-nonpositive-log", choices=("fail", "skip"), dest="on_nonpositive_log",
+        "--on-nonpositive-log", choices=_POLICY_CHOICES["nonpositive_log_ratio"],
+        dest="on_nonpositive_log",
         help="what to do when ln(predicted/actual) is undefined (default: fail)",
     )
-    p_eval.add_argument("--report", choices=("json", "table", "delimited"))
+    p_eval.add_argument("--report", choices=_CHOICES["report"])
     p_eval.add_argument("--config", help="JSON config file; explicit flags override it")
     p_eval.add_argument("--out", "-o", help="write the report here instead of stdout")
     p_eval.set_defaults(func=cmd_eval)
@@ -773,14 +831,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (IngestError, ValidationError, UnknownMetric, UnknownVariant, UnknownSuite,
-            UnimplementedMetric, MissingBenchmark) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvaluationError as exc:
-        # degenerate data surfaced outside a per-metric context
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            UnimplementedMetric, MissingBenchmark,
+            EvaluationError,  # degenerate data surfaced outside a per-metric context
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

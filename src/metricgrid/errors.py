@@ -202,9 +202,9 @@ class ParseError(IngestError):
 
 
 class FileAccess(IngestError):
-    def __init__(self, path: str, reason: str):
+    def __init__(self, path: str, reason: str, verb: str = "read"):
         self.path = path
-        super().__init__(f"cannot read {path}: {reason}")
+        super().__init__(f"cannot {verb} {path}: {reason}")
 
 
 class UnknownSuite(MetricError):

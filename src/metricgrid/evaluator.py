@@ -301,10 +301,11 @@ def aggregate(
     """Collapse the usable point values to one number.
 
     The geometric mean is undefined when any usable value is zero or
-    negative and the harmonic mean when any is zero; both raise regardless
-    of policy.  A mean, median, truncated or winsorized mean whose running
-    sum leaves the floating-point range is computed again on the values
-    scaled by a power of two; a sum beyond that range raises RangeOverflow.
+    negative and the harmonic mean when any is zero or the reciprocals sum
+    to zero; both raise regardless of policy.  A mean, median, truncated
+    or winsorized mean whose running sum leaves the floating-point range is
+    computed again on the values scaled by a power of two; a sum beyond
+    that range raises RangeOverflow.
     With ``overwrite_input`` (NumPy's ``np.median`` name) the point values
     may be reordered or overwritten: sorted, partitioned or logged in place.
     """
@@ -357,9 +358,7 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
     if kind is AggKind.MAXIMUM:
         return float(v.max())
     if kind is AggKind.HARMONIC_MEAN:
-        if (v == 0).any():
-            raise HarmonicMeanDomain()
-        return float(m / np.sum(np.divide(1.0, v, out=v if overwrite else None)))
+        return _harmonic_mean(v, overwrite)
     k = int(aggregator.fraction * m)
     if overwrite:
         v.sort()
@@ -374,6 +373,27 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
             s[m - k:] = s[m - k - 1]
         return float(s.mean())
     raise AssertionError(f"unexpected aggregator kind {kind!r}")
+
+
+def _harmonic_mean(v: np.ndarray, overwrite: bool) -> float:
+    """m / Σ1/v; where Σ1/v leaves the floating-point range, m·s / Σ(s/v)
+    with s = min|v|, whose terms are at most 1 in magnitude.  The
+    reciprocals overwrite ``v`` only where their sum cannot leave the
+    range, so ``v`` is still there for that second sum."""
+    m = v.size
+    lo, hi = float(v.min()), float(v.max())
+    s = lo if lo > 0 else -hi if hi < 0 else float(np.abs(v).min())
+    if s == 0:
+        raise HarmonicMeanDomain()
+    # |Σ1/v| ≤ m/s; the factor 2 leaves room for rounding
+    in_place = overwrite and math.isfinite(2 * m / s)
+    total = float(np.sum(np.divide(1.0, v, out=v if in_place else None)))
+    scale = 1.0
+    if not math.isfinite(total):
+        scale, total = s, float(np.sum(np.divide(s, v)))
+    if total == 0:
+        raise HarmonicMeanDomain("harmonic mean undefined: the reciprocals sum to zero")
+    return m * scale / total
 
 
 def apply_post(value: float, post: PostTransform) -> float:

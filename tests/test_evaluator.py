@@ -516,6 +516,39 @@ class TestRangeOverflow:
             evaluate_named(pair, name)
 
 
+class TestHarmonicMeanRange:
+    """The harmonic mean of values whose reciprocals leave the double range,
+    or cancel, on the plain and the overwriting path."""
+
+    HARMONIC = Aggregator(AggKind.HARMONIC_MEAN)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("values, want", [
+        ([5e-324, 1.0], 1e-323),
+        ([6e-309, 6e-309], 6e-309),
+        ([5e-324, -5e-324, 1.0], 3.0),
+        ([1.0, 2.0, 4.0], 1.7142857142857142),
+        ([-1.0, -2.0, -4.0], -1.7142857142857142),
+    ])
+    def test_value(self, values, want, overwrite):
+        assert aggregate(vector(values), self.HARMONIC, overwrite_input=overwrite) == want
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("values", [[1.0, -1.0], [2.0, -4.0, -4.0], [5e-324, -5e-324]])
+    def test_reciprocals_summing_to_zero_are_a_domain_error(self, values, overwrite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HarmonicMeanDomain, match="sum to zero"):
+                aggregate(vector(values), self.HARMONIC, overwrite_input=overwrite)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_finite_reciprocal_sum_keeps_its_bits(self, overwrite):
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-5.0, 5.0, 1001)
+        want = float(1001 / np.sum(1.0 / values))
+        assert aggregate(vector(values), self.HARMONIC, overwrite_input=overwrite) == want
+
+
 class TestDimensionRules:
     @pytest.mark.parametrize(
         "comp,expected",
