@@ -592,6 +592,14 @@ def _optional_string(value: Any) -> bool:
     return value is None or isinstance(value, str)
 
 
+def _number_text(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _check_config(config: dict[str, Any], path: str) -> None:
     def expect(ok: bool, key: str, shape: str) -> None:
         if not ok:
@@ -616,8 +624,11 @@ def _check_config(config: dict[str, Any], path: str) -> None:
     for key, choices in _POLICY_CHOICES.items():
         choice(policy.get(key), f"policy.{key}", choices)
     epsilon = policy.get("epsilon")
-    number_or_text = isinstance(epsilon, (int, float, str)) and not isinstance(epsilon, bool)
-    expect(epsilon is None or number_or_text, "policy.epsilon", "a number or 'smallest-nonzero'")
+    if isinstance(epsilon, str):
+        ok = epsilon == "smallest-nonzero" or _number_text(epsilon)
+    else:
+        ok = isinstance(epsilon, (int, float)) and not isinstance(epsilon, bool)
+    expect(epsilon is None or ok, "policy.epsilon", "a number or 'smallest-nonzero'")
     definitions = config.get("suite_definitions", {})
     expect(isinstance(definitions, dict), "suite_definitions", "an object of suite definitions")
     for name, body in definitions.items():

@@ -9,13 +9,16 @@ No stage writes to its inputs: a stage writes only arrays it allocated
 itself in that call, or the ``out`` its caller passes it (NumPy's ufunc
 convention; ``out`` may be ``points.values``).  ``aggregate`` may reorder
 or overwrite the point values only when given ``overwrite_input=True``.
-``evaluate`` passes every stage the array ``point_distances`` allocated,
-so a clean composition needs no other point-length float array than that
-one and, where the normalizer has one, its base.  A clean vector, one
-where every point is usable, carries its pair's one read-only all-True
-mask (``SeriesPair.all_points``), so clean data is never masked, gathered
-or copied; masks are built only where the policy touches a point or a
-check has failed.
+The median is taken by one single-pivot partition, in place only under
+``overwrite_input=True`` (else of a copy), and has ``np.median``'s value
+bit for bit.  ``evaluate`` passes every stage the array
+``point_distances`` allocated, and ``normalize`` builds its base one
+block of points at a time, so a clean composition needs no other
+point-length float array.  A clean vector, one where every point is
+usable, carries its pair's one read-only all-True mask
+(``SeriesPair.all_points``), so clean data is never masked, gathered or
+copied; masks are built only where the policy touches a point or a check
+has failed.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ _ERROR_DISTANCES = (Distance.ERROR, Distance.ABSOLUTE_ERROR, Distance.SQUARED_ER
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 # reductions whose result lies within the range of the values they reduce
 _SCALABLE = (AggKind.MEAN, AggKind.MEDIAN, AggKind.TRUNCATED_MEAN, AggKind.WINSORIZED_MEAN)
+# points per block of the normalizer base (256 KiB of floats).  A base as
+# long as the points would be a second point-length array; freed together
+# with the distances, two such arrays can make the C allocator return their
+# memory to the system and fault it in again on the next call.
+_BLOCK = 1 << 15
 
 
 def point_distances(
@@ -125,48 +133,51 @@ def point_distances(
     return PointVector(values, usable, actions)
 
 
-def _normalizer_base(pair: SeriesPair, spec: NormalizerSpec) -> np.ndarray:
-    """The base before its exponent; the read-only actuals themselves for
-    plain BY_ACTUALS, otherwise a new array.  The sums and the mean may
-    leave the floating-point range: ``_extremes`` refuses such a base."""
-    a, p = pair.actuals, pair.predicted
+def _normalizer_base(
+    pair: SeriesPair, spec: NormalizerSpec, center: float, part: slice, out: np.ndarray,
+) -> np.ndarray:
+    """The base before its exponent at the points ``part``; a read-only
+    view of the actuals for plain BY_ACTUALS, otherwise written into
+    ``out``.  ``center`` is the mean of all the actuals, the BY_VARIABILITY
+    centre.  The sums and the mean may leave the floating-point range:
+    ``_extremes`` refuses such a base."""
+    a, p = pair.actuals[part], pair.predicted[part]
     if spec.kind is NormKind.BY_ACTUALS:
-        return np.abs(a) if spec.absolute else a
+        return np.abs(a, out=out) if spec.absolute else a
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is NormKind.BY_VARIABILITY:
-            dev = a - a.mean()
+            dev = np.subtract(a, center, out=out)
             return np.abs(dev, out=dev) if spec.absolute else dev
         if spec.kind is NormKind.BY_SUM:
             if not spec.absolute:
-                return a + p
+                return np.add(a, p, out=out)
             # absolute variant sums magnitudes, it is not |A + P|; |P| - A
             # is |P| + |A| exactly where A is negative, with no second array
-            base = np.abs(p)
+            base = np.abs(p, out=out)
             negative = np.signbit(a)
             np.subtract(base, a, out=base, where=negative)
             return np.add(base, a, out=base, where=~negative)
     if spec.kind is NormKind.BY_MAX:
-        return np.maximum(a, p)
+        return np.maximum(a, p, out=out)
     if spec.kind is NormKind.BY_MIN:
-        return np.minimum(a, p)
+        return np.minimum(a, p, out=out)
     raise AssertionError(f"unexpected normalizer kind {spec.kind!r}")
 
 
-def _extremes(base: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest base value; NormalizerOverflow names the first
-    point whose base is not a finite number."""
+def _extremes(base: np.ndarray, start: int) -> tuple[float, float]:
+    """Smallest and largest value of a block of the base that begins at
+    point ``start``; NormalizerOverflow names the first point whose base
+    is not a finite number."""
     lo, hi = float(base.min()), float(base.max())
     if not -math.inf < lo <= hi < math.inf:
-        raise NormalizerOverflow(int(np.argmin(np.isfinite(base))))
+        raise NormalizerOverflow(start + int(np.argmin(np.isfinite(base))))
     return lo, hi
 
 
-def _near_zero(base: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
+def _near_zero(base: np.ndarray, usable: np.ndarray, lo: float, hi: float) -> np.ndarray | None:
     """Mask of the usable points whose base is near zero, or None when
-    there is none.  No mask is built when the extremes of the base show
-    that every point is clear of zero; extremes beyond the floating-point
-    range raise NormalizerOverflow."""
-    lo, hi = _extremes(base)
+    there is none.  No mask is built when the extremes ``lo`` and ``hi``
+    show that every point is clear of zero."""
     if lo >= NEAR_ZERO or hi <= -NEAR_ZERO:
         return None
     # |base| < NEAR_ZERO with no float temporary
@@ -177,17 +188,16 @@ def _near_zero(base: np.ndarray, usable: np.ndarray) -> np.ndarray | None:
 
 
 def _scaled(
-    op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray, out: np.ndarray | None,
-) -> np.ndarray:
-    """op(factor * values, other), written into ``out`` or into one new array.
+    op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray, out: np.ndarray,
+) -> None:
+    """op(factor * values, other), written into ``out``.
 
     A quotient or product beyond the floating-point range is left as inf
     for ``aggregate`` to refuse."""
     with np.errstate(over="ignore"):
-        if factor == 1.0:
-            return op(values, other, out=out)
-        out = np.multiply(values, factor, out=out)
-        return op(out, other, out=out)
+        if factor != 1.0:
+            values = np.multiply(values, factor, out=out)
+        op(values, other, out=out)
 
 
 def _into(points: PointVector, out: np.ndarray | None) -> PointVector:
@@ -214,57 +224,98 @@ def normalize(
     them, or add an epsilon to the base before dividing.  Exponent -1
     multiplies by the base instead and has no degenerate case.  A base,
     or squared base, beyond the floating-point range raises
-    NormalizerOverflow whatever the policy.  The values are written into
-    ``out`` when it is given (it may be ``points.values``), else into a
-    new array.
+    NormalizerOverflow whatever the policy; a base that is not a finite
+    number takes precedence over every other error.  The values are
+    written into ``out`` when it is given (it may be ``points.values``),
+    else into a new array; when an error is raised ``out`` may hold part
+    of the result.  The base is built one block of points at a time into
+    one small buffer, so no point-length base array is allocated.
     """
     if spec.kind is NormKind.UNITARY:
         return _into(points, out)
-    base = _normalizer_base(pair, spec)
-    usable = points.usable
-    actions = points.actions
-
-    if spec.exponent == -1:
-        _extremes(base)  # refuses a base beyond the floating-point range
-        return PointVector(_scaled(np.multiply, points.values, spec.factor, base, out), usable, actions)
-
+    n = points.n
+    center = 0.0
+    if spec.kind is NormKind.BY_VARIABILITY:
+        with np.errstate(over="ignore"):
+            center = pair.actuals.mean()
+    if out is None:
+        out = np.empty(n)
+    buf = np.empty(min(n, _BLOCK))
+    mode = policy.zero_denominator
+    eps = policy.epsilon
     clean = points.clean
-    degenerate = _near_zero(base, usable)
-    if degenerate is not None:
-        mode = policy.zero_denominator
+    usable = points.usable
+    hits: list[np.ndarray] = []  # the degenerate usable points, block by block
+    # first point still near zero after the epsilon, first squared base beyond range
+    still = overflow = None
+    # once a degenerate base is an error, later blocks are only checked for
+    # a non-finite base; after a squared base overflows, nothing is divided
+    failed = False
+
+    for start in range(0, n, _BLOCK):
+        part = slice(start, min(start + _BLOCK, n))
+        base = _normalizer_base(pair, spec, center, part, buf[:part.stop - start])
+        lo, hi = _extremes(base, start)
+        if failed:
+            continue
+        values = points.values[part]
+        if spec.exponent == -1:
+            _scaled(np.multiply, values, spec.factor, base, out[part])
+            continue
+        ok = usable[part]
+        degenerate = _near_zero(base, ok, lo, hi)
+        if degenerate is not None:
+            hits.append(np.flatnonzero(degenerate) + start)
+            if mode is ZeroDenominatorPolicy.FAIL:
+                failed = True
+                continue
+            if mode is ZeroDenominatorPolicy.SKIP:
+                if usable is points.usable:
+                    usable = usable.copy()
+                ok = usable[part]
+                ok &= ~degenerate
+                clean = False
+            else:
+                if eps is None:
+                    eps = smallest_nonzero_actual(pair.actuals)
+                    if eps == 0.0:
+                        failed = True
+                        continue
+                base = np.where(degenerate, base + eps, base)
+                again = _near_zero(base, ok, *_extremes(base, start))
+                if again is not None:
+                    still, failed = start + int(np.argmax(again)), True
+                    continue
+        if spec.exponent == 2:
+            with np.errstate(over="ignore"):
+                base = np.square(base, out=buf[:base.size])
+            if overflow is None and base.max() == np.inf:
+                overflow = start + int(np.argmax(base == np.inf))
+        if overflow is not None:
+            continue
+        if not clean:
+            values = np.where(ok, values, 0.0)
+            base = np.where(ok, base, 1.0)
+        _scaled(np.divide, values, spec.factor, base, out[part])
+
+    actions = points.actions
+    if hits:
+        degenerate = np.concatenate(hits)
         if mode is ZeroDenominatorPolicy.FAIL:
-            raise ZeroDenominator(int(np.argmax(degenerate)))
+            raise ZeroDenominator(int(degenerate[0]))
         if mode is ZeroDenominatorPolicy.SKIP:
-            actions = actions.with_run(SKIP_ZERO_DENOMINATOR, np.flatnonzero(degenerate))
-            usable = usable & ~degenerate
-            clean = False
+            actions = actions.with_run(SKIP_ZERO_DENOMINATOR, degenerate)
             if not usable.any():
                 raise AllPointsSkipped("skip policy removed every point (zero denominators)")
         else:
-            eps = policy.epsilon
-            if eps is None:
-                eps = smallest_nonzero_actual(pair.actuals)
-                if eps == 0.0:
-                    raise ZeroDenominator(
-                        message="epsilon correction impossible: every actual is zero"
-                    )
-            base = np.where(degenerate, base + eps, base)
-            actions = actions.with_run(EPSILON_CORRECTED, np.flatnonzero(degenerate))
-            degenerate = _near_zero(base, usable)
-            if degenerate is not None:
-                raise ZeroDenominator(int(np.argmax(degenerate)))
-
-    if spec.exponent == 2:
-        # squared in place unless the base is the pair's own actuals
-        with np.errstate(over="ignore"):
-            base = np.square(base, out=None if base is pair.actuals else base)
-        if base.max() == np.inf:
-            raise NormalizerOverflow(int(np.argmax(base == np.inf)))
-    if clean:
-        return PointVector(_scaled(np.divide, points.values, spec.factor, base, out), usable, actions)
-    values = np.where(usable, points.values, 0.0)
-    safe = np.where(usable, base, 1.0)
-    return PointVector(_scaled(np.divide, values, spec.factor, safe, out), usable, actions)
+            if eps == 0.0 and policy.epsilon is None:
+                raise ZeroDenominator(message="epsilon correction impossible: every actual is zero")
+            actions = actions.with_run(EPSILON_CORRECTED, degenerate)
+            if still is not None:
+                raise ZeroDenominator(still)
+    if overflow is not None:
+        raise NormalizerOverflow(overflow)
+    return PointVector(out, usable, actions)
 
 
 def apply_point_transform(
@@ -284,10 +335,11 @@ def apply_point_transform(
         values = np.expm1(points.values, out=out)
     if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
         # times sign(P - A), and sign(0) = 0: a perfect point contributes
-        # nothing to the bias
+        # nothing to the bias; one int8 sign, no masked (branching) loop
         a, p = pair.actuals, pair.predicted
-        np.multiply(values, -1.0, out=values, where=p < a)
-        np.multiply(values, 0.0, out=values, where=p == a)
+        sign = (p > a).view(np.int8)
+        sign -= (p < a).view(np.int8)
+        np.multiply(values, sign, out=values)
     return PointVector(values, points.usable, points.actions)
 
 
@@ -343,7 +395,7 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
     if kind is AggKind.MEAN:
         return float(v.mean())
     if kind is AggKind.MEDIAN:
-        return float(np.median(v, overwrite_input=overwrite))
+        return _median(v, overwrite)
     if kind is AggKind.GEOMETRIC_MEAN:
         if v.min() <= 0:
             raise GeometricMeanDomain()
@@ -373,6 +425,27 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
             s[m - k:] = s[m - k - 1]
         return float(s.mean())
     raise AssertionError(f"unexpected aggregator kind {kind!r}")
+
+
+def _median(v: np.ndarray, overwrite: bool) -> float:
+    """``np.median(v)``, bit for bit, by one single-pivot partition.
+
+    ``np.median`` partitions at several pivots (the middle values and the
+    last, for its NaN check), which takes NumPy's generic introselect;
+    one pivot takes its vectorised path.  The lower middle value of an
+    even count is the largest value below the pivot.  NaN sorts last, so
+    it lies above the pivot; as in ``np.median`` it makes the result NaN.
+    ``+ 0.0`` turns a -0.0 into 0.0, as ``np.median``'s mean does."""
+    if not overwrite:
+        v = v.copy()
+    h = v.size // 2
+    v.partition(h)
+    if math.isnan(v[h:].max()):
+        return math.nan
+    hi = float(v[h])
+    if v.size % 2:
+        return hi + 0.0
+    return (float(v[:h].max()) + hi + 0.0) / 2
 
 
 def _harmonic_mean(v: np.ndarray, overwrite: bool) -> float:

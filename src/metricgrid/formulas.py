@@ -85,8 +85,28 @@ def _log_ratio(
     return np.where(spilled, direct, np.log(np.where(bad | spilled, 1.0, ratio))), ~bad
 
 
+def _finite_mean(x: np.ndarray) -> float:
+    """np.mean(x); where its running sum leaves the floating-point range
+    though the mean does not, the sum of x/n."""
+    with np.errstate(over="ignore"):
+        value = float(np.mean(x))
+        if np.isfinite(value):
+            return value
+        return float(np.sum(x / x.size))
+
+
+def _finite_median(x: np.ndarray) -> float:
+    """np.median(x); where the mean of its two middle values leaves the
+    floating-point range, twice the median of x/2."""
+    with np.errstate(over="ignore"):
+        value = float(np.median(x))
+        if np.isfinite(value):
+            return value
+        return 2.0 * float(np.median(x / 2.0))
+
+
 def _mean(values: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.mean(values[mask]))
+    return _finite_mean(values[mask])
 
 
 def _sum(values: np.ndarray, mask: np.ndarray) -> float:
@@ -94,7 +114,7 @@ def _sum(values: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _median(values: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.median(values[mask]))
+    return _finite_median(values[mask])
 
 
 def _variability(a: np.ndarray, absolute: bool) -> np.ndarray:
@@ -107,7 +127,7 @@ def _variability(a: np.ndarray, absolute: bool) -> np.ndarray:
 
 def me(a, p, policy=FAIL_FAST):
     """Mean error."""
-    return float(np.mean(a - p))
+    return _finite_mean(a - p)
 
 
 def md(a, p, policy=FAIL_FAST):
@@ -137,12 +157,12 @@ def fb(a, p, policy=FAIL_FAST):
 
 def mae(a, p, policy=FAIL_FAST):
     """Mean absolute error."""
-    return float(np.mean(np.abs(a - p)))
+    return _finite_mean(np.abs(a - p))
 
 
 def mdae(a, p, policy=FAIL_FAST):
     """Median absolute error."""
-    return float(np.median(np.abs(a - p)))
+    return _finite_median(np.abs(a - p))
 
 
 def maxae(a, p, policy=FAIL_FAST):

@@ -627,7 +627,10 @@ def evaluate_named(
         weights = defn.log_weight(pair.actuals, pair.predicted)
         if not pv.clean:
             weights = weights[pv.usable]
-        value = float(np.sum(weights * pv.usable_values()))
+        # the logs are this call's own array, or a gathered copy of it; the
+        # weights may be the pair's own predictions, never written
+        logs = pv.usable_values()
+        value = float(np.sum(np.multiply(weights, logs, out=logs)))
     if not math.isfinite(value):
         raise RangeOverflow("weighted sum of log ratios")
     return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, pv.actions)

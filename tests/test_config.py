@@ -65,6 +65,16 @@ def test_suites_checks_the_same_config(data, capsys, key, bad):
     assert err.startswith("error:") and f"config key {key!r}" in err
 
 
+def test_epsilon_text_that_is_not_a_number_names_the_key(data, capsys):
+    code, out, err = run(capsys, {"input": "d.csv", "metrics": "MAE",
+                                  "policy": {"epsilon": "abc"}}, "eval")
+    assert (code, out) == (2, "")
+    assert "config key 'policy.epsilon'" in err and "--epsilon" not in err
+    # the flag keeps its own message
+    assert cli.main(["eval", "-i", "d.csv", "-m", "MAE", "--epsilon", "abc"]) == 2
+    assert "--epsilon must be a number or 'smallest-nonzero', got 'abc'" in capsys.readouterr().err
+
+
 def test_nulls_and_unknown_keys_are_ignored(data, capsys):
     config = {
         "input": "d.csv", "metrics": None, "suites": ["percentage"], "benchmark": None,

@@ -29,6 +29,7 @@ from metricgrid import (
     registry,
     validate_series_pair,
 )
+from metricgrid import evaluator
 from metricgrid.derived import evaluate_metric
 from metricgrid.evaluator import (
     aggregate,
@@ -389,6 +390,39 @@ class TestAllocation:
             if peak > limit:
                 over[label] = round(peak / self.FLOAT, 3)
         assert over == {}
+
+    def test_normalizer_base_is_built_in_blocks(self):
+        # the distances, one block of the base and the two boolean masks
+        rng = np.random.default_rng(13)
+        pair = validate_series_pair(rng.uniform(1.0, 10.0, self.N), rng.uniform(1.0, 10.0, self.N))
+        block = 8 * evaluator._BLOCK
+        assert block < self.FLOAT
+        over = {}
+        for label, comp in catalog_compositions():
+            evaluate(pair, comp)
+            tracemalloc.start()
+            try:
+                evaluate(pair, comp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if peak > self.FLOAT + block + self.SLACK:
+                over[label] = round(peak / self.FLOAT, 3)
+        assert over == {}
+
+    @pytest.mark.parametrize("name,floats", [("KLD", 1), ("JD", 2)])
+    def test_divergence_weights_the_logs_in_place(self, name, floats):
+        # the log ratios, and JD's weights P - A; KLD's weights are the pair's own
+        rng = np.random.default_rng(12)
+        pair = validate_series_pair(rng.uniform(1.0, 10.0, self.N), rng.uniform(1.0, 10.0, self.N))
+        evaluate_named(pair, name)
+        tracemalloc.start()
+        try:
+            evaluate_named(pair, name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.FLOAT * floats + self.SLACK
 
 
 class TestOverflow:

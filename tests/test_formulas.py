@@ -5,10 +5,13 @@ fixed inputs and frozen; any drift in the implementations breaks them.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import rel_close
+from metricgrid import evaluate_named, validate_series_pair
 from metricgrid import formulas as F
 from metricgrid.errors import (
     GeometricMeanDomain,
@@ -257,3 +260,19 @@ class TestWholeSeriesAndComposite:
     def test_lmr_of_perfect_candidate_is_log_domain_error(self):
         with pytest.raises(LogDomain):
             F.lmr(A, A, P)
+
+
+class TestTopOfTheRange:
+    """Where the running sum of a mean, or the mean of a median's middle
+    pair, leaves double range though the result does not, the closed form
+    still gives the finite value, without a warning."""
+
+    @pytest.mark.parametrize("actual", [[1e308, 1e308], [1e308, 1e308, 1.0], [1e308, 1.5e308]])
+    @pytest.mark.parametrize("name,formula", [("ME", F.me), ("MAE", F.mae), ("MdAE", F.mdae)])
+    def test_oracle_agrees_with_the_pipeline(self, actual, name, formula):
+        pair = validate_series_pair(actual, [0.0] * len(actual))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = formula(pair.actuals, pair.predicted)
+            got = evaluate_named(pair, name).value
+        assert math.isfinite(want) and rel_close(got, want)

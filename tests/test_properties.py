@@ -1,13 +1,22 @@
 """Structural invariants checked over generated inputs."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_compositions, rel_close
 from metricgrid import formulas as F
+from metricgrid import evaluator
 from metricgrid.cli import parse_cell
-from metricgrid.errors import MetricError
+from metricgrid.errors import (
+    AllPointsSkipped,
+    MetricError,
+    NormalizerOverflow,
+    ZeroDenominator,
+)
 from metricgrid.evaluator import (
     aggregate,
     apply_point_transform,
@@ -29,9 +38,11 @@ from metricgrid.types import (
     NormalizerSpec,
     NormKind,
     PointTransform,
+    NEAR_ZERO,
     PointVector,
     SeriesPair,
     ZeroDenominatorPolicy,
+    smallest_nonzero_actual,
 )
 
 positive_value = st.floats(min_value=0.5, max_value=10.0)
@@ -305,6 +316,21 @@ class TestStagesDoNotWriteInputs:
                 assert unchanged(kept_distances)
         assert unchanged(kept)
 
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(st.integers(min_value=0, max_value=15), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_median_reads_without_writing(self, parity, half, data):
+        n = 2 * half + parity
+        assume(n > 0)
+        values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        for usable in (np.ones(n, dtype=bool), mask):
+            if not usable.any():
+                continue
+            points, kept = read_only(PointVector(values, usable))
+            assert aggregate(points, Aggregator(AggKind.MEDIAN)) == np.median(values[usable])
+            assert unchanged(kept)
+
 
 # --- evaluate() computes in place what the stages compute ------------------
 
@@ -347,3 +373,237 @@ class TestOwnedBufferPath:
         for comp in COMPOSITIONS:
             assert outcome(lambda: evaluate(pair, comp, policy)) == outcome(
                 lambda: staged(pair, comp, policy)), comp
+
+
+# --- the median and sign kernels keep the bits of the NumPy calls they replace
+
+median_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e308, 1.7e308, -1.7e308, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def median_inputs(draw):
+    """Values of odd and even counts with ties, zeros of both signs, ±inf,
+    values whose middle pair overflows and maybe one NaN, plus a usable
+    mask that is either all True or a skip-policy subset."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    values = np.array(draw(st.lists(median_value, min_size=n, max_size=n)))
+    nan_at = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if nan_at is not None:
+        values[nan_at] = math.nan
+    usable = np.ones(n, dtype=bool)
+    if draw(st.booleans()):
+        usable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(usable.any())
+    return values, usable
+
+
+def np_median_outcome(v):
+    """What ``aggregate`` gave when it took the median with ``np.median``:
+    the value's bits, taken again on v / 2**k when the plain median is not
+    finite, or RangeOverflow."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        value = float(np.median(v))
+        if not math.isfinite(value):
+            k = v.size.bit_length()
+            try:
+                value = math.ldexp(float(np.median(np.ldexp(v, -k))), k)
+            except OverflowError:
+                value = math.inf
+    return value.hex() if math.isfinite(value) else "RangeOverflow"
+
+
+def aggregate_outcome(points, **kwargs):
+    try:
+        return aggregate(points, Aggregator(AggKind.MEDIAN), **kwargs).hex()
+    except MetricError as exc:
+        return type(exc).__name__
+
+
+def masked_sign(values, pair):
+    """sign(P - A) applied as two masked multiplies, written out as the
+    reference for ``apply_point_transform``'s int8 sign."""
+    a, p = pair.actuals, pair.predicted
+    out = np.expm1(values)
+    np.multiply(out, -1.0, out=out, where=p < a)
+    np.multiply(out, 0.0, out=out, where=p == a)
+    return out
+
+
+signed_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-50.0, 50.0, width=16))
+
+
+@st.composite
+def signed_pairs(draw):
+    """Pairs with negative values and exact hits."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    a = draw(st.lists(signed_value, min_size=n, max_size=n))
+    p = [x if hit else y for x, y, hit in zip(
+        a,
+        draw(st.lists(signed_value, min_size=n, max_size=n)),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )]
+    return SeriesPair(a, p)
+
+
+SIGNED_COMPOSITIONS = [
+    MetricComposition(distance, NormalizerSpec(norm), transform=PointTransform.SIGNED_EXP_MINUS_ONE)
+    for distance in (Distance.ERROR, Distance.ABSOLUTE_ERROR)
+    for norm in (NormKind.UNITARY, NormKind.BY_ACTUALS)
+]
+
+
+class TestKernels:
+    @given(median_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_median_has_np_medians_bits(self, drawn):
+        values, usable = drawn
+        want = np_median_outcome(values[usable])
+        read_only_values = values.copy()
+        read_only_values.setflags(write=False)
+        assert aggregate_outcome(PointVector(read_only_values, usable)) == want
+        assert aggregate_outcome(PointVector(values.copy(), usable), overwrite_input=True) == want
+
+    @given(signed_pairs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_the_masked_multiplies(self, pair, data):
+        # any values, inf and NaN among them, on points with every sign of P - A
+        values = np.array(data.draw(st.lists(
+            st.floats(allow_subnormal=True), min_size=pair.n, max_size=pair.n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_sign(values, pair)
+            got = apply_point_transform(PointVector(values, pair.all_points), pair,
+                                        PointTransform.SIGNED_EXP_MINUS_ONE)
+        assert got.values.tobytes() == want.tobytes()
+        # and through the pipeline, for compositions that carry the sign
+        for comp in SIGNED_COMPOSITIONS:
+            def reference():
+                pv = point_distances(pair, comp.distance)
+                pv = normalize(pv, pair, comp.normalizer)
+                with np.errstate(over="ignore"):
+                    signed = masked_sign(pv.values, pair)
+                value = aggregate(PointVector(signed, pv.usable, pv.actions), comp.aggregator)
+                return MetricResult(value, dimension_of(comp), pv.n, 0, pv.actions)
+            assert outcome(lambda: evaluate(pair, comp)) == outcome(reference), comp
+
+
+# --- the blocked normalizer base gives what the whole-array base gave -------
+
+
+def whole_array_normalize(points, pair, spec, policy):
+    """``normalize`` as it was written with a point-length base array,
+    kept as the reference for the blocked base."""
+    a, p = pair.actuals, pair.predicted
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is NormKind.BY_ACTUALS:
+            base = np.abs(a) if spec.absolute else a
+        elif spec.kind is NormKind.BY_VARIABILITY:
+            base = a - a.mean()
+            base = np.abs(base) if spec.absolute else base
+        elif spec.kind is NormKind.BY_SUM:
+            base = np.abs(a) + np.abs(p) if spec.absolute else a + p
+        elif spec.kind is NormKind.BY_MAX:
+            base = np.maximum(a, p)
+        else:
+            base = np.minimum(a, p)
+
+    def near_zero(base, usable):
+        if not np.isfinite(base).all():
+            raise NormalizerOverflow(int(np.argmin(np.isfinite(base))))
+        degenerate = (np.abs(base) < NEAR_ZERO) & usable
+        return degenerate if degenerate.any() else None
+
+    usable, actions, clean = points.usable, points.actions, points.clean
+    with np.errstate(over="ignore"):
+        if spec.exponent == -1:
+            near_zero(base, usable)
+            values = points.values * spec.factor if spec.factor != 1 else points.values
+            return values * base, usable, actions
+        degenerate = near_zero(base, usable)
+        if degenerate is not None:
+            mode = policy.zero_denominator
+            if mode is ZeroDenominatorPolicy.FAIL:
+                raise ZeroDenominator(int(np.argmax(degenerate)))
+            if mode is ZeroDenominatorPolicy.SKIP:
+                actions = actions.with_run(evaluator.SKIP_ZERO_DENOMINATOR, np.flatnonzero(degenerate))
+                usable, clean = usable & ~degenerate, False
+                if not usable.any():
+                    raise AllPointsSkipped("skip policy removed every point (zero denominators)")
+            else:
+                eps = policy.epsilon
+                if eps is None:
+                    eps = smallest_nonzero_actual(a)
+                    if eps == 0.0:
+                        raise ZeroDenominator(message="epsilon correction impossible: every actual is zero")
+                base = np.where(degenerate, base + eps, base)
+                actions = actions.with_run(evaluator.EPSILON_CORRECTED, np.flatnonzero(degenerate))
+                degenerate = near_zero(base, usable)
+                if degenerate is not None:
+                    raise ZeroDenominator(int(np.argmax(degenerate)))
+        if spec.exponent == 2:
+            base = np.square(base)
+            if base.max() == np.inf:
+                raise NormalizerOverflow(int(np.argmax(base == np.inf)))
+        values = points.values if clean else np.where(usable, points.values, 0.0)
+        if not clean:
+            base = np.where(usable, base, 1.0)
+        if spec.factor != 1:
+            values = values * spec.factor
+        return values / base, usable, actions
+
+
+def normalize_outcome(run):
+    """The values' and mask's bytes and the policy runs, or the error's
+    type, index and message."""
+    try:
+        values, usable, actions = run()
+    except MetricError as exc:
+        return type(exc).__name__, getattr(exc, "index", None), str(exc)
+    return values.tobytes(), usable.tobytes(), [(label, idx.tolist()) for label, idx in actions.runs]
+
+
+block_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1.0, -1.0, 1e160, -1e160, 1e308, -1e308, 1.7e308]),
+    st.floats(-100.0, 100.0, width=16),
+)
+BLOCK_POLICIES = STAGE_POLICIES + [
+    EvaluationPolicy(ZeroDenominatorPolicy.FAIL, LogRatioPolicy.SKIP),
+    EvaluationPolicy(ZeroDenominatorPolicy.EPSILON, LogRatioPolicy.SKIP, 0.5),
+    EvaluationPolicy(ZeroDenominatorPolicy.EPSILON, LogRatioPolicy.SKIP, 1e-20),
+]
+
+
+@st.composite
+def blocked_inputs(draw):
+    """A pair with zeros, near-zero values and values whose sums or squares
+    overflow; point values; a usable mask, all True or not; a block size."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    a = draw(st.lists(block_value, min_size=n, max_size=n))
+    p = draw(st.lists(block_value, min_size=n, max_size=n))
+    pair = SeriesPair(a, p)
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    usable = pair.all_points
+    if draw(st.booleans()):
+        usable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return pair, PointVector(values, usable), draw(st.integers(min_value=1, max_value=6))
+
+
+class TestBlockedNormalize:
+    @given(blocked_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_give_the_whole_array_result(self, drawn):
+        pair, points, size = drawn
+        block, evaluator._BLOCK = evaluator._BLOCK, size
+        try:
+            with np.errstate(all="ignore"):
+                for spec in NORMALIZERS[1:]:
+                    for policy in BLOCK_POLICIES:
+                        def blocked():
+                            pv = normalize(points, pair, spec, policy)
+                            return pv.values, pv.usable, pv.actions
+                        want = normalize_outcome(lambda: whole_array_normalize(points, pair, spec, policy))
+                        assert normalize_outcome(blocked) == want, (spec, policy)
+        finally:
+            evaluator._BLOCK = block
