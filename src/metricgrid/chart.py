@@ -3,9 +3,9 @@
 The chart arranges every composed primary metric in a 5x5x4 grid (five
 distances, five normalizer columns, four core aggregators).  Max- and
 min-normalized metrics share the N5 column.  Metrics that aggregate
-outside the core four, or that carry extra weights, land in an annex
-block.  Unoccupied cells are enumerable with the generic formula a new
-metric there would have.
+outside the core four, that carry an extra sign weight, or that have no
+cell land in an annex block.  Unoccupied cells are enumerable with the
+generic formula a new metric there would have.
 """
 
 from __future__ import annotations
@@ -109,15 +109,6 @@ class ChartGrid:
         """Printed core-grid lines, including as-printed entries."""
         return sum(len(v) for v in self.cells.values())
 
-    @property
-    def composed_entry_count(self) -> int:
-        """Chart entries (core + annex) backed by a composition."""
-        core = sum(
-            1 for entries in self.cells.values() for e in entries if e.note != "as printed"
-        )
-        annex = sum(1 for e in self.annex if e.reason != "uncharted")
-        return core + annex
-
 
 def _cell_sort_key(item: tuple[Cell, object]) -> tuple:
     (d, n, g), _ = item
@@ -157,10 +148,11 @@ def _cell_entry(defn: MetricDefinition, parent: str | None) -> CellEntry:
 def build_chart(definitions: Sequence[MetricDefinition] | None = None) -> ChartGrid:
     """Arrange catalog definitions into the grid.
 
-    Placement follows from the compositions: a composed metric with a
-    core aggregator lands on its cell, a metric with no composition but a
-    pinned ``cell`` is printed there "as printed", and the rest go to the
-    annex.  Parents are looked up in the full catalog.
+    Placement follows from the cells: a metric with a core aggregator
+    lands on its composition's cell, one whose pinned ``cell`` differs
+    from that is printed there "as printed", and the rest, a metric with
+    no cell among them, go to the annex.  Parents are looked up in the
+    full catalog.
 
     Raises DuplicateCellClaim when two metrics submit byte-identical
     compositions: a second name for the same recipe is a catalog mistake,
@@ -179,7 +171,9 @@ def build_chart(definitions: Sequence[MetricDefinition] | None = None) -> ChartG
         if defn.category is not Category.PRIMARY or not defn.implemented:
             continue
         comp = defn.composition
-        if comp is None and defn.cell is not None:
+        if defn.cell is None:
+            annex.append(AnnexEntry(defn.abbreviation, defn.abbreviation, "uncharted"))
+        elif defn.cell != comp.cell:
             entry = CellEntry(
                 abbreviation=defn.abbreviation,
                 label=f"{defn.abbreviation} c=-1 (as printed)",
@@ -188,8 +182,6 @@ def build_chart(definitions: Sequence[MetricDefinition] | None = None) -> ChartG
                 note="as printed",
             )
             cells.setdefault(defn.cell, []).append(entry)
-        elif comp is None:
-            annex.append(AnnexEntry(defn.abbreviation, defn.abbreviation, "uncharted"))
         elif comp.aggregator.kind not in CORE_AGGREGATORS:
             annex.append(AnnexEntry(
                 abbreviation=defn.abbreviation,

@@ -12,13 +12,13 @@ or overwrite the point values only when given ``overwrite_input=True``.
 The median is taken by one single-pivot partition, in place only under
 ``overwrite_input=True`` (else of a copy), and has ``np.median``'s value
 bit for bit.  ``evaluate`` passes every stage the array
-``point_distances`` allocated, and ``normalize`` builds its base one
-block of points at a time, so a clean composition needs no other
-point-length float array.  A clean vector, one where every point is
-usable, carries its pair's one read-only all-True mask
-(``SeriesPair.all_points``), so clean data is never masked, gathered or
-copied; masks are built only where the policy touches a point or a check
-has failed.
+``point_distances`` allocated; ``normalize`` builds its base, and
+``apply_point_transform`` its P - A weight, one block of points at a
+time, so a clean composition needs no other point-length float array.
+A clean vector, one where every point is usable, carries its pair's one
+read-only all-True mask (``SeriesPair.all_points``), so clean data is
+never masked, gathered or copied; masks are built only where the policy
+touches a point or a check has failed.
 """
 
 from __future__ import annotations
@@ -327,16 +327,29 @@ def apply_point_transform(
 ) -> PointVector:
     """Apply the optional per-point map to normalized values, written into
     ``out`` when it is given (it may be ``points.values``), else into a
-    new array."""
+    new array.  A value beyond the floating-point range, and any value at
+    a skipped point, is left as it comes for ``aggregate``, which reads
+    only the usable points and refuses inf.  The weight P - A is built one
+    block of points at a time into one small buffer."""
     if transform is PointTransform.IDENTITY:
         return _into(points, out)
-    # a value beyond the floating-point range is left as inf for ``aggregate``
-    with np.errstate(over="ignore"):
-        values = np.expm1(points.values, out=out)
+    a, p = pair.actuals, pair.predicted
+    with np.errstate(over="ignore", invalid="ignore"):
+        if transform is PointTransform.TIMES_PREDICTED:
+            values = np.multiply(points.values, p, out=out)
+        elif transform is PointTransform.TIMES_DIFFERENCE:
+            n = points.n
+            values = np.empty(n) if out is None else out
+            buf = np.empty(min(n, _BLOCK))
+            for start in range(0, n, _BLOCK):
+                part = slice(start, start + _BLOCK)
+                x = points.values[part]
+                np.multiply(x, np.subtract(p[part], a[part], out=buf[:x.size]), out=values[part])
+        else:
+            values = np.expm1(points.values, out=out)
     if transform is PointTransform.SIGNED_EXP_MINUS_ONE:
         # times sign(P - A), and sign(0) = 0: a perfect point contributes
         # nothing to the bias; one int8 sign, no masked (branching) loop
-        a, p = pair.actuals, pair.predicted
         sign = (p > a).view(np.int8)
         sign -= (p < a).view(np.int8)
         np.multiply(values, sign, out=values)
@@ -491,6 +504,8 @@ def dimension_of(comp: MetricComposition) -> Dimension:
             return Dimension.PERCENT
     if comp.normalizer.kind is not NormKind.UNITARY:
         return Dimension.DIMENSIONLESS
+    if comp.transform in (PointTransform.TIMES_PREDICTED, PointTransform.TIMES_DIFFERENCE):
+        return Dimension.SAME_AS_DATA
     if comp.distance in (Distance.LOG_QUOTIENT, Distance.ABS_LOG_QUOTIENT):
         return Dimension.DIMENSIONLESS
     if comp.distance is Distance.SQUARED_ERROR:

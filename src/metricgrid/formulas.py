@@ -246,7 +246,7 @@ def gmrae(a, p, policy=FAIL_FAST, form="exp-mean-log"):
         raise GeometricMeanDomain()
     if form == "root-product":
         return float(np.prod(v) ** (1.0 / v.size))
-    return float(np.exp(np.mean(np.log(v))))
+    return float(np.exp(_finite_mean(np.log(v))))
 
 
 def whd(a, p, policy=FAIL_FAST):
@@ -293,7 +293,7 @@ def cm(a, p, policy=FAIL_FAST, variant=None):
 
 def mse(a, p, policy=FAIL_FAST):
     """Mean squared error."""
-    return float(np.mean((a - p) ** 2))
+    return _finite_mean((a - p) ** 2)
 
 
 def rmse(a, p, policy=FAIL_FAST):

@@ -29,7 +29,7 @@ from .errors import (
     BenchmarkMismatch, InsufficientData, LogDomain, MissingBenchmark, RangeOverflow, RequiresBenchmark,
     UnimplementedMetric, UnknownMetric, UnknownVariant, ValidationError, ZeroDenominator,
 )
-from .evaluator import apply_post, dimension_of, evaluate, point_distances
+from .evaluator import apply_post, dimension_of, evaluate, point_distances  # noqa: F401  (perfbench wraps it)
 from .types import (
     NEAR_ZERO, AggKind, Cell, Dimension, Distance, EvaluationPolicy, FAIL_FAST, GEOMETRIC_MEAN, MAXIMUM,
     MEDIAN, MetricComposition, MetricResult, NormalizerSpec, NormKind, PERCENT_SCALE, PointTransform,
@@ -70,16 +70,19 @@ SD_OF_ACTUALS = Statistic("standard deviation of actuals", lambda a: np.std(a, d
 RANGE_OF_ACTUALS = Statistic("range of actuals", lambda a: np.max(a) - np.min(a))
 VARIANCE_OF_ACTUALS = Statistic("variance of actuals", lambda a: np.var(a, ddof=1),
                                 2, "NMSE needs at least 2 points")
-ABS_DEVIATION_SUM = Statistic("sum of |A - mean(A)|", lambda a: np.sum(np.abs(a - np.mean(a))))
+# |x| and x^2 are taken in place, on the statistic's one point-length array
+ABS_DEVIATION_SUM = Statistic("sum of |A - mean(A)|", lambda a: np.sum(np.abs(d := a - np.mean(a), out=d)))
 N_ABS_DEVIATION_SUM = Statistic("n times the sum of |A - mean(A)|",
                                 lambda a: a.size * ABS_DEVIATION_SUM.of(a),
                                 zero="sum of |A - mean(A)| is zero")
-SQUARED_DEVIATION_SUM = Statistic("sum of (A - mean(A))^2", lambda a: np.sum((a - np.mean(a)) ** 2))
+SQUARED_DEVIATION_SUM = Statistic("sum of (A - mean(A))^2",
+                                  lambda a: np.sum(np.square(d := a - np.mean(a), out=d)))
 TOTAL_SUM_OF_SQUARES = replace(SQUARED_DEVIATION_SUM, min_points=2,
                                too_few="coefficient of determination needs at least 2 points",
                                zero="actuals are constant: total sum of squares is zero")
-NAIVE_SCALE = Statistic("naive scale of the in-sample history", lambda h: np.mean(np.abs(np.diff(h))),
-                        2, "in-sample history needs at least 2 points", requires="in-sample history",
+NAIVE_SCALE = Statistic("naive scale of the in-sample history",
+                        lambda h: np.mean(np.abs(d := np.diff(h), out=d)), 2,
+                        "in-sample history needs at least 2 points", requires="in-sample history",
                         zero="in-sample history is constant: naive scale is zero")
 BENCHMARK_BASE = Statistic("benchmark {base}", None, requires="benchmark")
 
@@ -115,13 +118,12 @@ class Variant:
 class MetricDefinition:
     """One catalog entry.
 
-    A metric has a ``composition``, a ``recipe`` (extended and composite
-    metrics) or a ``log_weight`` (KLD and JD, which sum ln(P/A) weighted
-    per point).  ``formula``, the closed form, is None for stubs and for
-    metrics needing external inputs.  ``cell`` is normally the
-    composition's cell; one pinned on a metric without a composition is
-    where the chart prints it "as printed".  ``charted`` False sends a
-    composed metric to the chart's annex.
+    An implemented metric has a ``composition`` (primary metrics) or a
+    ``recipe`` (extended and composite metrics).  ``formula``, the closed
+    form, is None for stubs and for metrics needing external inputs.
+    ``cell`` is normally the composition's cell; a pinned cell that
+    differs from it is where the chart prints the metric "as printed",
+    and None sends it to the chart's annex, as ``charted`` False does.
     """
 
     abbreviation: str
@@ -131,18 +133,21 @@ class MetricDefinition:
     formula: Callable[..., float] | None = None
     aliases: tuple[str, ...] = ()
     variants: dict[str, Variant] = field(default_factory=dict, hash=False)
-    dimension: Dimension = Dimension.DIMENSIONLESS
     cell: Cell | None = None
     chart_aka: tuple[str, ...] = ()
     charted: bool = True
     recipe: DerivedRecipe | None = None
-    log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     notes: str = ""
     stub_reason: str | None = None
 
     @property
     def implemented(self) -> bool:
         return self.stub_reason is None
+
+    @property
+    def dimension(self) -> Dimension:
+        """Unit class of the value; a recipe's ratio is dimensionless."""
+        return Dimension.DIMENSIONLESS if self.composition is None else dimension_of(self.composition)
 
     @property
     def requires(self) -> str | None:
@@ -202,7 +207,6 @@ def _primary(abbr: str, name: str, comp: MetricComposition, formula: Callable[..
              variants: Callable[[MetricComposition], dict[str, Variant]] | None = None,
              **kw) -> MetricDefinition:
     kw.setdefault("cell", comp.cell)
-    kw.setdefault("dimension", dimension_of(comp))
     if variants is not None:
         kw["variants"] = variants(comp)
     return MetricDefinition(abbr, name, Category.PRIMARY, comp, formula, **kw)
@@ -416,18 +420,17 @@ def _build_catalog() -> dict[str, MetricDefinition]:
         "MdLAR", "Median Log Accuracy Ratio",
         MetricComposition(Distance.LOG_QUOTIENT, aggregator=MEDIAN), formulas.mdlar,
     ))
-    defs.append(MetricDefinition(
-        "KLD", "Kullback-Leibler Divergence", Category.PRIMARY,
-        composition=None, formula=formulas.kld, log_weight=lambda a, p: p,
-        dimension=Dimension.SAME_AS_DATA,
-        cell=(Distance.LOG_QUOTIENT, NormKind.BY_ACTUALS, AggKind.SUM),
+    defs.append(_primary(
+        "KLD", "Kullback-Leibler Divergence",
+        MetricComposition(Distance.LOG_QUOTIENT, aggregator=SUM, transform=PointTransform.TIMES_PREDICTED),
+        formulas.kld, cell=(Distance.LOG_QUOTIENT, NormKind.BY_ACTUALS, AggKind.SUM),
         notes="weights each log ratio by the predicted value, so it is charted "
               "at its conventional cell rather than composed from it",
     ))
-    defs.append(MetricDefinition(
-        "JD", "Jeffreys Divergence", Category.PRIMARY,
-        composition=None, formula=formulas.jd, log_weight=lambda a, p: p - a,
-        dimension=Dimension.SAME_AS_DATA,
+    defs.append(_primary(
+        "JD", "Jeffreys Divergence",
+        MetricComposition(Distance.LOG_QUOTIENT, aggregator=SUM, transform=PointTransform.TIMES_DIFFERENCE),
+        formulas.jd, cell=None,
         notes="weights each log ratio by (P - A); has no core-grid cell",
     ))
 
@@ -574,8 +577,8 @@ def export_catalog(include_stubs: bool = True) -> list[dict[str, Any]]:
 
 
 def composed_definitions() -> list[MetricDefinition]:
-    """Primary metrics that have a composition."""
-    return [d for d in list_metrics(category=Category.PRIMARY) if d.composition is not None]
+    """The implemented primary metrics; each has a composition."""
+    return list_metrics(category=Category.PRIMARY)
 
 
 def check(
@@ -607,10 +610,9 @@ def evaluate_named(
 ) -> MetricResult:
     """Evaluate a primary catalog metric on a pair.
 
-    A variant runs its composition through the pipeline or evaluates its
-    recipe; KLD and JD weight the pipeline's log ratios.  Extended and
-    composite metrics raise RequiresBenchmark: ``derived.evaluate_metric``
-    evaluates them.
+    A metric or variant runs its composition through the pipeline or
+    evaluates its recipe.  Extended and composite metrics raise
+    RequiresBenchmark: ``derived.evaluate_metric`` evaluates them.
     """
     defn = lookup(name)
     if defn.implemented and defn.category is not Category.PRIMARY:
@@ -620,20 +622,7 @@ def evaluate_named(
     spec = defn if variant is None else defn.variants[variant]
     if spec.recipe is not None:
         return evaluate_recipe(pair, spec.recipe, policy)[0]
-    if spec.composition is not None:
-        return evaluate(pair, spec.composition, policy)
-    pv = point_distances(pair, Distance.LOG_QUOTIENT, policy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = defn.log_weight(pair.actuals, pair.predicted)
-        if not pv.clean:
-            weights = weights[pv.usable]
-        # the logs are this call's own array, or a gathered copy of it; the
-        # weights may be the pair's own predictions, never written
-        logs = pv.usable_values()
-        value = float(np.sum(np.multiply(weights, logs, out=logs)))
-    if not math.isfinite(value):
-        raise RangeOverflow("weighted sum of log ratios")
-    return MetricResult(value, defn.dimension, pv.n, pv.n - pv.n_usable, pv.actions)
+    return evaluate(pair, spec.composition, policy)
 
 
 def evaluate_recipe(

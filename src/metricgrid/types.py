@@ -86,6 +86,8 @@ class PointTransform(Enum):
     IDENTITY = "identity"
     EXP_MINUS_ONE = "exp-minus-one"              # x -> exp(x) - 1
     SIGNED_EXP_MINUS_ONE = "signed-exp-minus-one"  # x -> sign(P-A) * (exp(x) - 1)
+    TIMES_PREDICTED = "times-predicted"          # x -> P * x
+    TIMES_DIFFERENCE = "times-difference"        # x -> (P - A) * x
 
 
 class PostKind(Enum):

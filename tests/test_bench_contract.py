@@ -78,7 +78,7 @@ def test_evaluate_calls_every_stage_through_the_module(monkeypatch):
     rng = np.random.default_rng(8)
     pair = validate_series_pair(rng.uniform(0.5, 10.0, 50), rng.uniform(0.5, 10.0, 50))
     compositions = catalog_compositions()
-    assert len(compositions) == 53
+    assert len(compositions) == 55
     for label, comp in compositions:
         calls.update(dict.fromkeys(STAGES, 0))
         evaluator.evaluate(pair, comp)

@@ -41,6 +41,9 @@ class TestGridPlacement:
     def test_every_chartable_definition_lands_on_its_own_cell(self, grid):
         placed = {e.abbreviation for entries in grid.cells.values() for e in entries}
         for d in composed_definitions():
+            # a pinned cell other than the composition's is printed there; None is uncharted
+            if d.cell != d.composition.cell:
+                continue
             if d.charted and d.composition.aggregator.kind in CORE_AGGREGATORS:
                 assert d.abbreviation in placed, d.abbreviation
                 assert any(
@@ -50,8 +53,7 @@ class TestGridPlacement:
     def test_occupancy_counts(self, grid):
         assert len(grid.occupied_columns()) == 31
         assert grid.entry_count == 40
-        assert grid.composed_entry_count == 41
-        assert grid.composed_entry_count == len(composed_definitions())
+        assert grid.entry_count + len(grid.annex) == len(composed_definitions()) == 43
 
     def test_annex_membership(self, grid):
         by_abbr = {e.abbreviation: e for e in grid.annex}

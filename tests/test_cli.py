@@ -237,6 +237,17 @@ class TestEval:
             math.sqrt(150.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("name,transform", [("KLD", "times-predicted"), ("JD", "times-difference")])
+    def test_weighted_log_sum_composition_is_the_divergence(self, capsys, demo_csv, name, transform):
+        descriptor = f"distance=D4 normalizer=N1 aggregator=G4 transform={transform}"
+        code, report, _ = run_json(
+            capsys, "eval", "--input", demo_csv, "--metrics", name, "--composition", descriptor
+        )
+        assert code == 0
+        by_name = {e["name"]: e for e in report["metrics"]}
+        assert by_name[descriptor]["value"].hex() == by_name[name]["value"].hex()
+        assert by_name[descriptor]["dimension"] == by_name[name]["dimension"] == "same-as-data"
+
     def test_bad_descriptor_is_config_error(self, capsys, demo_csv):
         code, _, err = run(
             capsys, "eval", "--input", demo_csv, "--composition", "distance=D9 aggregator=G1"

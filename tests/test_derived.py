@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metricgrid import evaluate_named
 from metricgrid import formulas as F
 from metricgrid.derived import (
     BUILTIN_SUITES,
@@ -164,6 +165,12 @@ class TestRelativeMetric:
         )
         assert r.value == 0.5
         assert "50% lower" in r.interpretation
+
+    def test_divergence_base_is_the_ratio_of_its_values(self):
+        r = relative_metric(PAIR, BENCH, base="KLD")
+        candidate, benchmark = evaluate_named(PAIR, "KLD").value, evaluate_named(BENCH, "KLD").value
+        assert (r.candidate, r.benchmark) == (candidate, benchmark)
+        assert r.value == candidate / benchmark
 
     def test_mismatched_actuals_rejected(self):
         other = SeriesPair([1.0, 2.0, 3.0, 5.0], BENCH.predicted)

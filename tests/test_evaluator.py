@@ -238,6 +238,28 @@ class TestPointTransformStage:
         # under-prediction negative, over-prediction positive, exact hit zero
         assert out.values == pytest.approx([-1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_weights_span_blocks(self, in_place):
+        # the P - A weight is built block by block; the products keep their bits
+        rng = np.random.default_rng(15)
+        n = 2 * evaluator._BLOCK + 7
+        pair = validate_series_pair(rng.uniform(-5.0, 5.0, n), rng.uniform(-5.0, 5.0, n))
+        x = rng.uniform(-3.0, 3.0, n)
+        a, p = pair.actuals, pair.predicted
+        for transform, weight in ((PointTransform.TIMES_PREDICTED, p),
+                                  (PointTransform.TIMES_DIFFERENCE, p - a)):
+            pv = vector(x.copy())
+            out = apply_point_transform(pv, pair, transform, out=pv.values if in_place else None)
+            assert (out.values is pv.values) is in_place
+            assert np.array_equal(out.values, weight * x)
+
+    def test_weight_beyond_range_at_a_skipped_point_is_not_read(self):
+        # P - A overflows where the log ratio is skipped; no warning, no inf
+        pair = validate_series_pair([1e308, 2.0], [-1e308, 3.0])
+        result = evaluate_named(pair, "JD", SKIP_LOG)
+        assert result.value == math.log(1.5)
+        assert result.points_skipped == 1
+
 
 class TestAggregate:
     def test_mean_median_sum_max(self):
@@ -410,19 +432,23 @@ class TestAllocation:
                 over[label] = round(peak / self.FLOAT, 3)
         assert over == {}
 
-    @pytest.mark.parametrize("name,floats", [("KLD", 1), ("JD", 2)])
-    def test_divergence_weights_the_logs_in_place(self, name, floats):
-        # the log ratios, and JD's weights P - A; KLD's weights are the pair's own
-        rng = np.random.default_rng(12)
-        pair = validate_series_pair(rng.uniform(1.0, 10.0, self.N), rng.uniform(1.0, 10.0, self.N))
-        evaluate_named(pair, name)
-        tracemalloc.start()
-        try:
-            evaluate_named(pair, name)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= self.FLOAT * floats + self.SLACK
+    def test_recipe_statistics_take_one_array(self):
+        # the benchmark statistic, which has no ``of``, is a composition held above
+        recipes = [spec.recipe for d in registry.list_metrics() for spec in (d, *d.variants.values())]
+        statistics = {r.statistic for r in recipes if r is not None and r.statistic.of is not None}
+        series = np.random.default_rng(14).uniform(1.0, 10.0, self.N)
+        over = {}
+        for stat in statistics:
+            stat.of(series)
+            tracemalloc.start()
+            try:
+                stat.of(series)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if peak > self.FLOAT + self.SLACK:
+                over[stat.name] = round(peak / self.FLOAT, 3)
+        assert len(statistics) == 9 and over == {}
 
 
 class TestOverflow:

@@ -276,3 +276,13 @@ class TestTopOfTheRange:
             want = formula(pair.actuals, pair.predicted)
             got = evaluate_named(pair, name).value
         assert math.isfinite(want) and rel_close(got, want)
+
+    @pytest.mark.parametrize("name,formula", [("MSE", F.mse), ("RMSE", F.rmse)])
+    def test_squared_error_mean_agrees_with_the_pipeline(self, name, formula):
+        # each squared error is 1.69e308; their sum is not finite
+        pair = validate_series_pair([1.3e154, 1.3e154], [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = formula(pair.actuals, pair.predicted)
+            got = evaluate_named(pair, name).value
+        assert math.isfinite(want) and rel_close(got, want)

@@ -364,7 +364,7 @@ def staged(pair, comp, policy):
 class TestOwnedBufferPath:
     def test_grid_and_catalog_cover_what_they_claim(self):
         assert len(set(GRID)) == 100
-        assert len(COMPOSITIONS) == 153
+        assert len(COMPOSITIONS) == 155
 
     @given(st.one_of(positive_pairs(min_size=1).map(lambda ap: SeriesPair(*ap)), stage_pairs()),
            st.sampled_from(STAGE_POLICIES))

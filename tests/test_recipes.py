@@ -35,7 +35,7 @@ def test_recipes_cover_the_derived_layers():
     for d in registry.get_catalog().values():
         if d.implemented and d.category is not registry.Category.PRIMARY:
             assert d.recipe is not None, d.abbreviation
-            assert d.composition is None and d.log_weight is None
+            assert d.composition is None
 
 
 def test_requires_follows_the_statistic():
