@@ -9,6 +9,11 @@ at all.  Every named metric, from ``--metrics`` or a suite, passes
 ``derived.evaluate_metric``; only ad-hoc ``--composition`` descriptors go
 straight to the pipeline.  One writer, ``_json``, writes every JSON
 output: the report, ``list --format json`` and ``suites --format json``.
+
+An ``eval`` report lists at most ``ACTIONS_LISTED`` policy actions per
+metric, the first ones taken; an entry with more also carries
+``action_counts``, every action counted by label.  The full list stays
+available from the library, as ``MetricResult.actions``.
 """
 
 from __future__ import annotations
@@ -443,6 +448,27 @@ def _selection_plan(
 # --- report rendering ---------------------------------------------------------
 
 
+# how many policy actions an ``eval`` report lists per metric
+ACTIONS_LISTED = 10
+
+
+def _cap_actions(entry: dict) -> None:
+    """Keep the first ``ACTIONS_LISTED`` of the entry's actions, and count
+    every one by label under ``action_counts``; an entry at or under the
+    cap, or with no actions (an error), is left as it is."""
+    log = entry.get("actions")
+    if log is None or len(log) <= ACTIONS_LISTED:
+        return
+    counts: dict[str, int] = {}
+    listed, room = [], ACTIONS_LISTED
+    for label, indices in log.runs:
+        counts[label] = counts.get(label, 0) + indices.size
+        listed.append((label, indices[:room]))
+        room = max(room - indices.size, 0)
+    entry["actions"] = ActionLog(listed)
+    entry["action_counts"] = counts
+
+
 def _format_value(entry: dict) -> str:
     if "error" in entry:
         return f"ERROR {entry['error']['type']}"
@@ -706,6 +732,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except MetricError as exc:
             entries.append(_error_entry(label, None, exc))
     failed = any("error" in entry for entry in entries)
+    for entry in entries:
+        _cap_actions(entry)
 
     report = {
         "input": str(path),

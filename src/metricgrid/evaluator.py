@@ -37,6 +37,7 @@ from .errors import (
     NormalizerOverflow,
     RangeOverflow,
     SqrtDomain,
+    ValidationError,
     ZeroDenominator,
 )
 from .types import (
@@ -414,9 +415,10 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
             raise GeometricMeanDomain()
         with np.errstate(under="ignore"):
             product = float(np.prod(v))
-        if 0.0 < product < np.inf:
+        if _SMALLEST_NORMAL <= product < np.inf:
             return float(product ** (1.0 / m))
-        # the running product left double range; the log form cannot
+        # the running product left the normal range (a subnormal keeps too
+        # few digits); the log form cannot
         return float(np.exp(np.mean(np.log(v, out=v if overwrite else None))))
     if kind is AggKind.SUM:
         return float(v.sum())
@@ -495,8 +497,23 @@ def apply_post(value: float, post: PostTransform) -> float:
         raise RangeOverflow("symmetric accuracy") from None
 
 
+# the power of the data's unit in each distance's unit
+_DATA_DEGREE = {
+    Distance.ERROR: 1, Distance.ABSOLUTE_ERROR: 1, Distance.SQUARED_ERROR: 2,
+    Distance.LOG_QUOTIENT: 0, Distance.ABS_LOG_QUOTIENT: 0,
+}
+_BY_DEGREE = (Dimension.DIMENSIONLESS, Dimension.SAME_AS_DATA,
+              Dimension.SQUARED_DATA, Dimension.CUBED_DATA)
+
+
 def dimension_of(comp: MetricComposition) -> Dimension:
-    """Unit class implied by a composition."""
+    """Unit class implied by a composition.
+
+    Without a normalizer the unit is the distance's, times the data's
+    once more under a weighting transform (P or P - A), and halved by a
+    sqrt post transform.  A sqrt of an odd power of the data's unit has
+    no unit class; such a composition raises ValidationError.
+    """
     for post in comp.post:
         if post.kind is PostKind.SYMMETRIC_ACCURACY:
             return Dimension.PERCENT
@@ -504,15 +521,14 @@ def dimension_of(comp: MetricComposition) -> Dimension:
             return Dimension.PERCENT
     if comp.normalizer.kind is not NormKind.UNITARY:
         return Dimension.DIMENSIONLESS
+    degree = _DATA_DEGREE[comp.distance]
     if comp.transform in (PointTransform.TIMES_PREDICTED, PointTransform.TIMES_DIFFERENCE):
-        return Dimension.SAME_AS_DATA
-    if comp.distance in (Distance.LOG_QUOTIENT, Distance.ABS_LOG_QUOTIENT):
-        return Dimension.DIMENSIONLESS
-    if comp.distance is Distance.SQUARED_ERROR:
-        if any(post.kind is PostKind.SQRT for post in comp.post):
-            return Dimension.SAME_AS_DATA
-        return Dimension.SQUARED_DATA
-    return Dimension.SAME_AS_DATA
+        degree += 1
+    if any(post.kind is PostKind.SQRT for post in comp.post):
+        if degree % 2:
+            raise ValidationError(f"a sqrt of data to the power {degree} has no unit class")
+        degree //= 2
+    return _BY_DEGREE[degree]
 
 
 def evaluate(
@@ -525,7 +541,8 @@ def evaluate(
     Returns a MetricResult carrying the value, its unit class and the
     diagnostics of every policy intervention.  Raises an EvaluationError
     subtype when the data is degenerate and the policy says fail, or when
-    an aggregation or transform domain is violated.
+    an aggregation or transform domain is violated, and ValidationError
+    when the value has no unit class (see ``dimension_of``).
     """
     pv = point_distances(pair, comp.distance, policy)
     # the distances are this call's own array: every later stage writes there

@@ -10,6 +10,8 @@ Signed quantities follow the convention error = actual - predicted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -105,6 +107,20 @@ def _finite_median(x: np.ndarray) -> float:
         return 2.0 * float(np.median(x / 2.0))
 
 
+def _root_product(x: np.ndarray, root: int = 1) -> float:
+    """The (root * n)-th root of the product of the n positive values in x.
+
+    Where the product stays finite and normal this is its literal root;
+    where it overflows or falls to a subnormal (too few digits) or zero,
+    exp of the exactly rounded sum of logs divided by root * n.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        product = np.prod(x)
+    if np.finfo(float).tiny <= product < math.inf:
+        return float(product ** (1.0 / (root * x.size)))
+    return math.exp(math.fsum(np.log(x).tolist()) / (root * x.size))
+
+
 def _mean(values: np.ndarray, mask: np.ndarray) -> float:
     return _finite_mean(values[mask])
 
@@ -176,11 +192,12 @@ def sad(a, p, policy=FAIL_FAST):
 
 
 def gmae(a, p, policy=FAIL_FAST):
-    """Geometric mean absolute error, as the n-th root of the product."""
+    """Geometric mean absolute error, as the n-th root of the product
+    (through the logs where the product leaves the double range)."""
     ae = np.abs(a - p)
     if (ae == 0).any():
         raise GeometricMeanDomain("geometric mean undefined: some absolute error is zero")
-    return float(np.prod(ae) ** (1.0 / ae.size))
+    return _root_product(ae)
 
 
 def mare(a, p, policy=FAIL_FAST):
@@ -237,15 +254,15 @@ def gmrae(a, p, policy=FAIL_FAST, form="exp-mean-log"):
     """Geometric mean relative absolute error.
 
     The canonical form exponentiates the mean log ratio; the root-product
-    form is the literal n-th root of the product.  Both need every ratio
-    strictly positive.
+    form is the n-th root of the product, literal where the product stays
+    within the double range.  Both need every ratio strictly positive.
     """
     q, mask = _guarded(np.abs(a - p), _variability(a, absolute=True), a, policy)
     v = q[mask]
     if (v <= 0).any():
         raise GeometricMeanDomain()
     if form == "root-product":
-        return float(np.prod(v) ** (1.0 / v.size))
+        return _root_product(v)
     return float(np.exp(_finite_mean(np.log(v))))
 
 
@@ -316,7 +333,7 @@ def grmse(a, p, policy=FAIL_FAST):
     sq = (a - p) ** 2
     if (sq == 0).any():
         raise GeometricMeanDomain("geometric mean undefined: some squared error is zero")
-    return float(np.prod(sq) ** (1.0 / (2 * sq.size)))
+    return _root_product(sq, root=2)
 
 
 def vsd(a, p, policy=FAIL_FAST):

@@ -103,6 +103,7 @@ class Dimension(Enum):
 
     SAME_AS_DATA = "same-as-data"
     SQUARED_DATA = "squared-data"
+    CUBED_DATA = "cubed-data"
     DIMENSIONLESS = "dimensionless"
     PERCENT = "percent"
 
@@ -462,9 +463,10 @@ class MetricResult:
         return self.points_skipped > 0 or len(self.actions) > 0
 
     def to_record(self) -> dict[str, Any]:
-        """The report entry; ``actions`` is the ActionLog, which
+        """The report entry; ``actions`` is the whole ActionLog, which
         ``cli.render_report`` writes as a list of ``{"action", "index"}``
-        objects."""
+        objects.  ``metricgrid eval`` keeps only its first
+        ``cli.ACTIONS_LISTED`` and adds ``action_counts``."""
         return {
             "value": self.value,
             "dimension": self.dimension.value,

@@ -2,13 +2,29 @@
 
 import json
 import math
+import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metricgrid import cli
-from metricgrid.types import AggKind, Distance, NormKind
+from metricgrid import __version__, cli, derived
+from metricgrid.types import (
+    AggKind,
+    Distance,
+    EvaluationPolicy,
+    LogRatioPolicy,
+    NormKind,
+    SeriesPair,
+    ZeroDenominatorPolicy,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import inputs  # noqa: E402
+import workloads  # noqa: E402
 
 DEMO_ROWS = "actual,predicted\n1,2\n2,2\n3,5\n4,3\n"
 
@@ -399,6 +415,96 @@ class TestEval:
                            "--metrics", "MAE")
         assert code == 2
         assert "object" in err
+
+
+DEGENERATE_FLAGS = {
+    "skip": ("--on-zero-denominator", "skip"),
+    "epsilon": ("--on-zero-denominator", "epsilon", "--epsilon", "smallest-nonzero"),
+}
+
+
+@pytest.fixture(scope="module")
+def degenerate_json(tmp_path_factory):
+    """20k rows, ~30% zero actuals and ~5% negative predictions."""
+    return inputs.write("json_degenerate", 3, str(tmp_path_factory.mktemp("degenerate")))["input"]
+
+
+def degenerate_run(path: str, policy_name: str) -> tuple[list[str], SeriesPair, EvaluationPolicy]:
+    """The eval argv, the evaluation pair and the policy it applies."""
+    argv = ["eval", "--input", path, "--metrics", ",".join(workloads.DEGENERATE_METRICS),
+            "--on-nonpositive-log", "skip", *DEGENERATE_FLAGS[policy_name]]
+    pair, _ = cli.ingest(path, None, "actual", "predicted", None)
+    return argv, pair, EvaluationPolicy(ZeroDenominatorPolicy(policy_name), LogRatioPolicy.SKIP)
+
+
+def uncapped_report(path: str, pair: SeriesPair, policy: EvaluationPolicy, names) -> dict:
+    """The report ``eval`` would write with every policy action listed."""
+    return {
+        "input": path,
+        "metrics": [cli.evaluate_selection(pair, name, None, None, None, policy) for name in names],
+        "policy": policy.to_config(),
+        "version": __version__,
+    }
+
+
+class TestActionCap:
+    """A report lists a metric's first ``cli.ACTIONS_LISTED`` policy actions
+    and, past that, counts every one by label."""
+
+    @pytest.mark.parametrize("policy_name", ["skip", "epsilon"])
+    def test_lists_the_first_actions_and_counts_every_one(self, capsys, degenerate_json,
+                                                          policy_name):
+        argv, pair, policy = degenerate_run(degenerate_json, policy_name)
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        capped = []
+        for entry in report["metrics"]:
+            taken = list(derived.evaluate_metric(pair, entry["name"], policy)[0].actions)
+            listed = [(a["action"], a["index"]) for a in entry["actions"]]
+            assert listed == [(a.action, a.index) for a in taken[:cli.ACTIONS_LISTED]]
+            if len(taken) <= cli.ACTIONS_LISTED:
+                assert "action_counts" not in entry
+                continue
+            capped.append(entry["name"])
+            assert len(listed) == cli.ACTIONS_LISTED
+            counts = entry["action_counts"]
+            assert counts == Counter(a.action for a in taken)
+            assert sum(counts.values()) == entry["points_skipped"] + counts.get("epsilon-corrected", 0)
+        assert set(capped) == set(workloads.DEGENERATE_METRICS) - {"MAE", "RMSE"}
+
+    @pytest.mark.parametrize("zeros", [10, 11])
+    def test_cap_boundary(self, capsys, tmp_path, zeros):
+        assert cli.ACTIONS_LISTED == 10
+        path = tmp_path / "zeros.csv"
+        path.write_text("actual,predicted\n" + "0,1\n" * zeros + "2,3\n4,5\n")
+        code, out, _ = run(capsys, "eval", "--input", str(path), "--metrics", "MAPE",
+                           "--on-zero-denominator", "skip")
+        assert code == 0
+        (entry,) = json.loads(out)["metrics"]
+        assert entry["points_skipped"] == zeros
+        assert [a["index"] for a in entry["actions"]] == list(range(10))
+        if zeros == 10:
+            assert "action_counts" not in entry
+            pair, _ = cli.ingest(str(path), None, "actual", "predicted", None)
+            policy = EvaluationPolicy(zero_denominator=ZeroDenominatorPolicy.SKIP)
+            assert out == cli._json(uncapped_report(str(path), pair, policy, ["MAPE"]))
+        else:
+            assert entry["action_counts"] == {"skipped:zero-denominator": 11}
+
+    @pytest.mark.parametrize("policy_name", ["skip", "epsilon"])
+    def test_cap_changes_only_the_action_list(self, capsys, degenerate_json, policy_name):
+        argv, pair, policy = degenerate_run(degenerate_json, policy_name)
+        uncapped = cli._json(uncapped_report(degenerate_json, pair, policy,
+                                             workloads.DEGENERATE_METRICS))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(out) < len(uncapped) // 100
+        full, capped = json.loads(uncapped), json.loads(out)
+        for report in (full, capped):
+            for entry in report["metrics"]:
+                del entry["actions"]
+                entry.pop("action_counts", None)
+        assert capped == full
 
 
 class TestChart:

@@ -52,6 +52,7 @@ from metricgrid.errors import (
     NormalizerOverflow,
     RangeOverflow,
     SqrtDomain,
+    ValidationError,
     ZeroDenominator,
 )
 from metricgrid import formulas
@@ -292,6 +293,13 @@ class TestAggregate:
             assert math.isinf(np.prod(errors))
         got = evaluate_named(pair, "GMAE").value
         assert got == float(np.exp(np.mean(np.log(errors))))
+
+    def test_geometric_mean_of_a_subnormal_product_goes_through_the_logs(self):
+        # 1e-160 * 1e-160 is a subnormal with a few significant digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = aggregate(vector([1e-160, 1e-160]), Aggregator(AggKind.GEOMETRIC_MEAN))
+        assert math.isclose(got, 1e-160, rel_tol=1e-14)
 
     def test_harmonic_mean(self):
         got = aggregate(vector([1, 2, 4]), Aggregator(AggKind.HARMONIC_MEAN))
@@ -644,10 +652,69 @@ class TestDimensionRules:
                 ),
                 Dimension.PERCENT,
             ),
+            # a weight (P or P - A) adds one data degree to the distance's unit
+            (
+                MetricComposition(Distance.LOG_QUOTIENT, transform=PointTransform.TIMES_PREDICTED),
+                Dimension.SAME_AS_DATA,
+            ),
+            (
+                MetricComposition(Distance.ABS_LOG_QUOTIENT, transform=PointTransform.TIMES_DIFFERENCE),
+                Dimension.SAME_AS_DATA,
+            ),
+            (
+                MetricComposition(Distance.ERROR, transform=PointTransform.TIMES_DIFFERENCE),
+                Dimension.SQUARED_DATA,
+            ),
+            (
+                MetricComposition(Distance.ABSOLUTE_ERROR, transform=PointTransform.TIMES_PREDICTED),
+                Dimension.SQUARED_DATA,
+            ),
+            (
+                MetricComposition(Distance.SQUARED_ERROR, transform=PointTransform.TIMES_PREDICTED),
+                Dimension.CUBED_DATA,
+            ),
+            (
+                MetricComposition(
+                    Distance.SQUARED_ERROR,
+                    NormalizerSpec(NormKind.BY_ACTUALS),
+                    transform=PointTransform.TIMES_DIFFERENCE,
+                ),
+                Dimension.DIMENSIONLESS,
+            ),
+            # a sqrt halves an even degree
+            (
+                MetricComposition(
+                    Distance.ERROR,
+                    transform=PointTransform.TIMES_DIFFERENCE,
+                    post=(PostTransform(PostKind.SQRT),),
+                ),
+                Dimension.SAME_AS_DATA,
+            ),
+            (
+                MetricComposition(Distance.LOG_QUOTIENT, post=(PostTransform(PostKind.SQRT),)),
+                Dimension.DIMENSIONLESS,
+            ),
         ],
     )
     def test_dimension_of(self, comp, expected):
         assert dimension_of(comp) is expected
+
+    @pytest.mark.parametrize(
+        "comp",
+        [
+            MetricComposition(Distance.ABSOLUTE_ERROR, post=(PostTransform(PostKind.SQRT),)),
+            MetricComposition(
+                Distance.SQUARED_ERROR,
+                transform=PointTransform.TIMES_PREDICTED,
+                post=(PostTransform(PostKind.SQRT),),
+            ),
+        ],
+    )
+    def test_sqrt_of_an_odd_degree_has_no_unit_class(self, comp):
+        with pytest.raises(ValidationError, match="no unit class"):
+            dimension_of(comp)
+        with pytest.raises(ValidationError, match="no unit class"):
+            evaluate(PAIR, comp)
 
 
 # --- bit pin ------------------------------------------------------------

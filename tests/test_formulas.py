@@ -5,13 +5,15 @@ fixed inputs and frozen; any drift in the implementations breaks them.
 """
 
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rel_close
-from metricgrid import evaluate_named, validate_series_pair
+from metricgrid import derived, evaluate_named, validate_series_pair
 from metricgrid import formulas as F
 from metricgrid.errors import (
     GeometricMeanDomain,
@@ -21,6 +23,10 @@ from metricgrid.errors import (
     ZeroDenominator,
 )
 from metricgrid.types import EvaluationPolicy, LogRatioPolicy, ZeroDenominatorPolicy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import inputs  # noqa: E402
 
 A = np.array([1.0, 2.0, 3.0, 4.0])
 P = np.array([2.0, 2.0, 5.0, 3.0])
@@ -286,3 +292,50 @@ class TestTopOfTheRange:
             want = formula(pair.actuals, pair.predicted)
             got = evaluate_named(pair, name).value
         assert math.isfinite(want) and rel_close(got, want)
+
+
+class TestLongProducts:
+    """A product of many errors leaves double range though its root does
+    not; the closed form then goes through the logs, without a warning."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_oracle_agrees_with_the_pipeline(self, seed):
+        data = inputs.generate("catalog_sweep", seed)
+        a, p, b = data["actual"], data["predicted"], data["benchmark"]
+        pair, bench = validate_series_pair(a, p), validate_series_pair(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = [
+                (evaluate_named(pair, "GMAE"), F.gmae(a, p)),
+                (evaluate_named(pair, "GRMSE"), F.grmse(a, p)),
+                (evaluate_named(pair, "GMRAE", variant="root-product"),
+                 F.gmrae(a, p, form="root-product")),
+                (derived.relative_named(pair, bench, "RGRMSE"), F.rgrmse(a, p, b)),
+            ]
+        for got, want in checks:
+            assert math.isfinite(want) and rel_close(got.value, want)
+
+    @pytest.mark.parametrize("error", [1e120, 1e-120])
+    def test_product_beyond_range_is_taken_through_the_logs(self, error):
+        # the product of three such errors, or of their squares, is beyond range
+        a = np.full(3, error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isclose(F.gmae(a, np.zeros(3)), error, rel_tol=1e-12)
+            assert math.isclose(F.grmse(a, np.zeros(3)), error, rel_tol=1e-12)
+
+    def test_subnormal_product_is_taken_through_the_logs(self):
+        # 1e-160 * 1e-160 underflows to a subnormal with a few digits left
+        a = np.full(2, 1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isclose(F.gmae(a, np.zeros(2)), 1e-160, rel_tol=1e-14)
+            pair = validate_series_pair(a, np.zeros(2))
+            assert math.isclose(evaluate_named(pair, "GMAE").value, 1e-160, rel_tol=1e-14)
+
+    def test_product_within_range_is_the_literal_root(self):
+        rng = np.random.default_rng(11)
+        a, p = rng.uniform(1.0, 2.0, 500), rng.uniform(2.5, 3.5, 500)
+        ae = np.abs(a - p)
+        assert F.gmae(a, p) == float(np.prod(ae) ** (1.0 / ae.size))
+        assert F.grmse(a, p) == float(np.prod(ae ** 2) ** (1.0 / (2 * ae.size)))
