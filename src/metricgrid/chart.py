@@ -10,8 +10,10 @@ generic formula a new metric there would have.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DuplicateCellClaim
 from .registry import Category, MetricDefinition, get_catalog
@@ -272,19 +274,27 @@ def render_plain(grid: ChartGrid, include_blanks: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def delimited(rows: Iterable[Sequence[object]]) -> str:
+    """Comma-separated rows, one a line; only a field holding a comma, a
+    quote or a line break is quoted, so every row parses to its width."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def render_delimited(grid: ChartGrid, include_blanks: bool = False) -> str:
-    lines = ["distance,normalizer,aggregator,entry,c,note"]
+    rows = [("distance", "normalizer", "aggregator", "entry", "c", "note")]
     for cell, entries in sorted(grid.cells.items(), key=_cell_sort_key):
         d, n, g = cell
         for e in entries:
-            c = "" if e.c is None else str(e.c)
-            lines.append(f"{d.code},{n.value},{g.value},{e.label},{c},{e.note}")
+            rows.append((d.code, n.value, g.value, e.label, e.c, e.note))  # None is written as ""
     for e in grid.annex:
-        lines.append(f",,,{e.abbreviation},,{e.reason}")
+        rows.append(("", "", "", e.abbreviation, "", e.reason))
     if include_blanks:
         for b in blank_cells(grid):
-            lines.append(f"{b.distance.code},{b.column},{b.aggregator.value},,,blank: {b.formula}")
-    return "\n".join(lines) + "\n"
+            rows.append((b.distance.code, b.column, b.aggregator.value, "", "",
+                         f"blank: {b.formula}"))
+    return delimited(rows)
 
 
 def render_markup(grid: ChartGrid, include_blanks: bool = False) -> str:

@@ -7,8 +7,10 @@ metric failed to evaluate, 2 the configuration or input could not be used
 at all.  Every named metric, from ``--metrics`` or a suite, passes
 ``registry.check`` before any data is evaluated and is then evaluated by
 ``derived.evaluate_metric``; only ad-hoc ``--composition`` descriptors go
-straight to the pipeline.  One writer, ``_json``, writes every JSON
-output: the report, ``list --format json`` and ``suites --format json``.
+straight to the pipeline.  Every JSON output (the report, ``list --format
+json`` and ``suites --format json``) is one ``json.dumps`` call, ``_json``;
+every delimited one (``eval``, ``list`` and ``chart``) goes through
+``csv.writer``, so a field holding a comma is quoted.
 
 An ``eval`` report lists at most ``ACTIONS_LISTED`` policy actions per
 metric, the first ones taken; an entry with more also carries
@@ -266,6 +268,7 @@ _NORMALIZERS = {
 }
 _AGGREGATORS = _descriptor_table(AggKind)
 _TRANSFORMS = {t.value: t for t in PointTransform}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _parse_post(text: str) -> tuple[PostTransform, ...]:
@@ -289,13 +292,20 @@ def _parse_post(text: str) -> tuple[PostTransform, ...]:
 
 
 def parse_composition(text: str) -> MetricComposition:
-    """Parse a key=value descriptor like 'distance=D4 normalizer=N1 aggregator=G1'."""
+    """Parse a key=value descriptor like 'distance=D4 normalizer=N1 aggregator=G1'.
+
+    Each key is given at most once; ``absolute`` is one of true/false,
+    yes/no or 1/0, in any case.
+    """
     fields: dict[str, str] = {}
     for token in text.split():
         key, sep, value = token.partition("=")
         if not sep or not value:
             raise ParseError(f"descriptor token {token!r} is not key=value")
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in fields:
+            raise ParseError(f"descriptor key {key!r} is given more than once")
+        fields[key] = value.strip()
     unknown = set(fields) - {
         "distance", "normalizer", "aggregator", "c", "absolute", "factor",
         "fraction", "transform", "post",
@@ -314,11 +324,14 @@ def parse_composition(text: str) -> MetricComposition:
     distance = pick(_DISTANCES, "distance", "distance")
     norm_kind = pick(_NORMALIZERS, "normalizer", "normalizer") if "normalizer" in fields else NormKind.UNITARY
     agg_kind = pick(_AGGREGATORS, "aggregator", "aggregator")
+    absolute = _BOOLEANS.get(fields.get("absolute", "false").lower())
+    if absolute is None:
+        raise ParseError(f"absolute must be true/false, yes/no or 1/0, got {fields['absolute']!r}")
     try:
         normalizer = NormalizerSpec(
             norm_kind,
             exponent=int(fields.get("c", 1)),
-            absolute=fields.get("absolute", "false").lower() in ("1", "true", "yes"),
+            absolute=absolute,
             factor=float(fields.get("factor", 1.0)),
         )
         aggregator = Aggregator(agg_kind, fraction=float(fields.get("fraction", 0.0)))
@@ -423,9 +436,12 @@ def _selection_plan(
 
     Returns (label, variant, composition) triples, in selection order and
     without repeats; the composition is set only for ad-hoc descriptors.
-    Anything invalid here is a configuration error, not a metric failure.
+    A ``variants`` key is any name ``registry.lookup`` knows, and the last
+    key naming a metric wins.  Anything invalid here is a configuration
+    error, not a metric failure.
     """
     plan: dict[tuple[str, str | None], MetricComposition | None] = {}
+    by_abbreviation = {registry.lookup(name).abbreviation: v for name, v in variants.items()}
 
     def add_named(defn: registry.MetricDefinition, variant: str | None) -> None:
         registry.check(defn, variant, have_benchmark, have_in_sample)
@@ -433,7 +449,7 @@ def _selection_plan(
 
     for name in metrics:
         defn = registry.lookup(name)
-        add_named(defn, variants.get(name) or variants.get(defn.abbreviation))
+        add_named(defn, by_abbreviation.get(defn.abbreviation) or None)
     for suite_name in suites:
         for member in derived.get_suite(suite_name, extra_suites).members:
             abbr, _, variant = member.partition(":")
@@ -496,71 +512,29 @@ def render_report_table(report: dict) -> str:
 
 
 def render_report_delimited(report: dict) -> str:
-    lines = ["name,variant,value,dimension,points_skipped,error"]
+    rows = [("name", "variant", "value", "dimension", "points_skipped", "error")]
     for e in report["metrics"]:
         if "error" in e:
-            lines.append(f"{e['name']},{e.get('variant', '')},,,,{e['error']['type']}")
+            rows.append((e["name"], e.get("variant", ""), "", "", "", e["error"]["type"]))
         else:
-            lines.append(
-                f"{e['name']},{e.get('variant', '')},{e['value']!r},"
-                f"{e['dimension']},{e['points_skipped']},"
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((e["name"], e.get("variant", ""), repr(e["value"]),
+                         e["dimension"], e["points_skipped"], ""))
+    return chart.delimited(rows)
 
 
-def _action_block(log: ActionLog, indent: str) -> str:
-    """What ``json.dumps(..., indent=2, sort_keys=True)`` writes for the
-    log's action list opened at a line indented by ``indent``: one
-    ``str.join`` per run over its indices."""
-    if not log:
-        return "[]"
-    inner, key = indent + "  ", indent + "    "
-    tail = f"\n{inner}}}"
-    runs = []
-    for label, indices in log.runs:
-        head = f'{{\n{key}"action": {_encode(label)},\n{key}"index": '
-        runs.append(head + f"{tail},\n{inner}{head}".join(map(str, indices.tolist())) + tail)
-    return f"[\n{inner}" + f",\n{inner}".join(runs) + f"\n{indent}]"
-
-
-# strict: a NaN or infinity raises ValueError rather than being written as
-# ``NaN`` or ``Infinity``, which are not JSON
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-
-def _write_json(obj: Any, indent: str, out: list[str]) -> None:
-    """Append the text ``json.dumps(obj, indent=2, sort_keys=True)`` writes
-    for ``obj`` opened at a line indented by ``indent``; an ActionLog is
-    written as its list of ``{"action", "index"}`` objects."""
+def _as_json(obj: Any) -> Any:
+    """``json.dumps``'s fallback: an ActionLog is its list of ``{"action",
+    "index"}`` objects; nothing else is JSON."""
     if isinstance(obj, ActionLog):
-        out.append(_action_block(obj, indent))
-    elif isinstance(obj, (dict, list, tuple)) and obj:
-        inner = indent + "  "
-        if isinstance(obj, dict):
-            if not all(isinstance(key, str) for key in obj):
-                raise TypeError("JSON object keys must be strings")
-            out.append("{")
-            for i, key in enumerate(sorted(obj)):
-                out += (",\n" if i else "\n", inner, _encode(key), ": ")
-                _write_json(obj[key], inner, out)
-            out += ("\n", indent, "}")
-        else:
-            out.append("[")
-            for i, item in enumerate(obj):
-                out += (",\n" if i else "\n", inner)
-                _write_json(item, inner, out)
-            out += ("\n", indent, "]")
-    else:
-        out.append(_encode(obj))
+        return [{"action": a.action, "index": a.index} for a in obj]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json(obj: Any) -> str:
-    """Every JSON output's text: indented by two, keys sorted, strict, one
-    newline at the end, joined once."""
-    out: list[str] = []
-    _write_json(obj, "", out)
-    out.append("\n")  # not ``+ "\n"`` after the join: that copies the whole text again
-    return "".join(out)
+    """Every JSON output's text: indented by two, keys sorted, one newline
+    at the end; a NaN or infinity raises ValueError rather than being
+    written as ``NaN`` or ``Infinity``, which are not JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_as_json) + "\n"
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -760,13 +734,10 @@ def cmd_list(args: argparse.Namespace) -> int:
         _emit(_json([d.to_record() for d in defs]), args.out)
         return 0
     if args.format == "delimited":
-        lines = ["abbreviation,name,category,dimension,implemented"]
-        for d in defs:
-            lines.append(
-                f"{d.abbreviation},{d.full_name},{d.category.value},"
-                f"{d.dimension.value},{str(d.implemented).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [("abbreviation", "name", "category", "dimension", "implemented")]
+        rows += [(d.abbreviation, d.full_name, d.category.value, d.dimension.value,
+                  str(d.implemented).lower()) for d in defs]
+        _emit(chart.delimited(rows), args.out)
         return 0
     width = max((len(d.abbreviation) for d in defs), default=4)
     lines = []

@@ -463,10 +463,10 @@ class MetricResult:
         return self.points_skipped > 0 or len(self.actions) > 0
 
     def to_record(self) -> dict[str, Any]:
-        """The report entry; ``actions`` is the whole ActionLog, which
-        ``cli.render_report`` writes as a list of ``{"action", "index"}``
-        objects.  ``metricgrid eval`` keeps only its first
-        ``cli.ACTIONS_LISTED`` and adds ``action_counts``."""
+        """The report entry; ``actions`` is the whole ActionLog.
+        ``metricgrid eval`` keeps only its first ``cli.ACTIONS_LISTED``
+        and adds ``action_counts``, and ``json.dumps`` writes the log as a
+        list of ``{"action", "index"}`` objects through ``cli._as_json``."""
         return {
             "value": self.value,
             "dimension": self.dimension.value,

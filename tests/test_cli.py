@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, driven in-process."""
 
+import csv
 import json
 import math
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from metricgrid import __version__, cli, derived
+from metricgrid.errors import ParseError
 from metricgrid.types import (
     AggKind,
     Distance,
@@ -210,6 +212,48 @@ class TestEval:
         )
         assert code == 2
         assert "variant" in err
+
+    @pytest.mark.parametrize("key", ["rmspe", "RMSPE", "RmSpE"])
+    def test_variant_key_is_matched_like_a_metric_name(self, capsys, demo_csv, tmp_path, key):
+        _, plain, _ = run_json(capsys, "eval", "--input", demo_csv, "--metrics", "RMSPE")
+        code, report, _ = run_json(
+            capsys, "eval", "--input", demo_csv, "--metrics", "RMSPE",
+            "--variant", f"{key}=conventional",
+        )
+        assert code == 0
+        entry = report["metrics"][0]
+        assert entry["variant"] == "conventional"
+        assert entry["value"] != plain["metrics"][0]["value"]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "metrics": "RMSPE",
+                                   "variants": {key: "conventional"}}))
+        code, from_config, _ = run_json(capsys, "eval", "--config", str(cfg))
+        assert code == 0
+        assert from_config["metrics"] == report["metrics"]
+
+    def test_variant_flag_overrides_config_key_spelled_otherwise(self, capsys, demo_csv, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "metrics": "RMSPE",
+                                   "variants": {"RMSPE": "nonesuch"}}))
+        code, report, _ = run_json(
+            capsys, "eval", "--config", str(cfg), "--variant", "rmspe=conventional"
+        )
+        assert code == 0
+        assert report["metrics"][0]["variant"] == "conventional"
+
+    def test_unknown_variant_key_is_config_error(self, capsys, demo_csv, tmp_path):
+        code, out, err = run(
+            capsys, "eval", "--input", demo_csv, "--metrics", "RMSPE",
+            "--variant", "RMSEP=conventional",
+        )
+        assert (code, out) == (2, "")
+        assert "unknown metric 'RMSEP'" in err
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "metrics": "RMSPE",
+                                   "variants": {"RMSEP": "conventional"}}))
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown metric 'RMSEP'" in err
 
     def test_suite_expansion(self, capsys, demo_csv):
         code, report, _ = run_json(
@@ -594,6 +638,61 @@ class TestDescriptorTables:
         assert member in cli.parse_cell(",".join(cell))
         code, _, err = run(capsys, "list", "--cell", ",".join(cell))
         assert code == 0, err
+
+
+class TestDescriptorValues:
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("False", False), ("no", False), ("0", False),
+    ])
+    def test_absolute_takes_a_boolean_word(self, text, value):
+        comp = cli.parse_composition(f"distance=D2 normalizer=N3 aggregator=G1 absolute={text}")
+        assert comp.normalizer.absolute is value
+
+    @pytest.mark.parametrize("text", ["ture", "2", "on", "y", "t"])
+    def test_absolute_refuses_any_other_word(self, capsys, demo_csv, text):
+        descriptor = f"distance=D2 normalizer=N1 aggregator=G1 absolute={text}"
+        with pytest.raises(ParseError, match="absolute"):
+            cli.parse_composition(descriptor)
+        code, out, err = run(capsys, "eval", "--input", demo_csv, "--composition", descriptor)
+        assert (code, out) == (2, "")
+        assert repr(text) in err
+
+    @pytest.mark.parametrize("descriptor", [
+        "distance=D2 aggregator=G1 distance=D3",
+        "distance=D2 normalizer=N1 aggregator=G1 c=1 C=2",
+        "distance=D2 normalizer=N1 aggregator=G1 absolute=true absolute=true",
+    ])
+    def test_repeated_key_is_refused(self, capsys, demo_csv, descriptor):
+        with pytest.raises(ParseError, match="more than once"):
+            cli.parse_composition(descriptor)
+        code, out, err = run(capsys, "eval", "--input", demo_csv, "--composition", descriptor)
+        assert (code, out) == (2, "")
+        assert "more than once" in err
+
+
+COMMA_DESCRIPTORS = ["distance=D3 aggregator=G1 post=sqrt,scale:2",
+                     "distance=D2 aggregator=G1 post=sqrt,scale:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--metrics", "MAE,RAE,MARE", "--variant", "RAE=option2", "--report", "delimited",
+     *[arg for d in COMMA_DESCRIPTORS for arg in ("--composition", d)]],
+    ["list", "--format", "delimited", "--include-stubs"],
+    ["chart", "--format", "delimited", "--blanks"],
+], ids=["eval", "list", "chart"])
+def test_every_delimited_row_has_the_header_width(capsys, zero_csv, argv):
+    if argv[0] == "eval":
+        argv = [*argv, "--input", zero_csv]
+    _, out, _ = run(capsys, *argv)
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) > 3
+    assert {len(row) for row in rows} == {len(rows[0])}
+    if argv[0] == "eval":
+        assert [(row[0], row[-1]) for row in rows[1:]] == [
+            ("MAE", ""), ("RAE", ""), ("MARE", "ZeroDenominator"),
+            (COMMA_DESCRIPTORS[0], ""), (COMMA_DESCRIPTORS[1], "ValidationError"),
+        ]
 
 
 class TestSuites:

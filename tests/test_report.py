@@ -1,9 +1,10 @@
 """Policy records from the evaluator to the JSON report.
 
-The evaluator keeps interventions as an ``ActionLog`` of index arrays and
-``cli.render_report`` writes them without one dict per point; the report
-bytes must be exactly what ``json.dumps(indent=2, sort_keys=True)`` of the
-list-of-dicts form gives.
+The evaluator keeps interventions as an ``ActionLog`` of index arrays, and
+``cli.render_report`` hands the log to ``json.dumps``, which writes it as a
+list of ``{"action", "index"}`` objects; the report bytes must be exactly
+what ``json.dumps(indent=2, sort_keys=True)`` of the list-of-dicts form
+gives.
 """
 
 import json
