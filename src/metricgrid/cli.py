@@ -33,19 +33,7 @@ import numpy as np
 
 from . import __version__, chart, derived, registry
 from .evaluator import evaluate
-from .errors import (
-    EvaluationError,
-    FileAccess,
-    IngestError,
-    MetricError,
-    MissingBenchmark,
-    ParseError,
-    UnimplementedMetric,
-    UnknownMetric,
-    UnknownSuite,
-    UnknownVariant,
-    ValidationError,
-)
+from .errors import FileAccess, MetricError, ParseError, UnknownVariant, ValidationError
 from .types import (
     ActionLog,
     AggKind,
@@ -327,6 +315,9 @@ def parse_composition(text: str) -> MetricComposition:
     absolute = _BOOLEANS.get(fields.get("absolute", "false").lower())
     if absolute is None:
         raise ParseError(f"absolute must be true/false, yes/no or 1/0, got {fields['absolute']!r}")
+    unused = sorted({"c", "absolute", "factor"} & fields.keys())
+    if norm_kind is NormKind.UNITARY and unused:
+        raise ParseError(f"{norm_kind.value} normalizer takes no {', '.join(unused)}")
     try:
         normalizer = NormalizerSpec(
             norm_kind,
@@ -437,11 +428,16 @@ def _selection_plan(
     Returns (label, variant, composition) triples, in selection order and
     without repeats; the composition is set only for ad-hoc descriptors.
     A ``variants`` key is any name ``registry.lookup`` knows, and the last
-    key naming a metric wins.  Anything invalid here is a configuration
-    error, not a metric failure.
+    key naming a metric wins; its variant must be one the metric has,
+    whether or not the metric is selected, and None means the default.
+    Anything invalid here is a configuration error, not a metric failure.
     """
     plan: dict[tuple[str, str | None], MetricComposition | None] = {}
     by_abbreviation = {registry.lookup(name).abbreviation: v for name, v in variants.items()}
+    for abbreviation, variant in by_abbreviation.items():
+        known = registry.lookup(abbreviation).variants
+        if variant is not None and variant not in known:
+            raise UnknownVariant(abbreviation, variant, tuple(known))
 
     def add_named(defn: registry.MetricDefinition, variant: str | None) -> None:
         registry.check(defn, variant, have_benchmark, have_in_sample)
@@ -449,7 +445,7 @@ def _selection_plan(
 
     for name in metrics:
         defn = registry.lookup(name)
-        add_named(defn, by_abbreviation.get(defn.abbreviation) or None)
+        add_named(defn, by_abbreviation.get(defn.abbreviation))
     for suite_name in suites:
         for member in derived.get_suite(suite_name, extra_suites).members:
             abbr, _, variant = member.partition(":")
@@ -840,10 +836,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, ValidationError, UnknownMetric, UnknownVariant, UnknownSuite,
-            UnimplementedMetric, MissingBenchmark,
-            EvaluationError,  # degenerate data surfaced outside a per-metric context
-            OSError) as exc:
+    except (MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,10 @@ time, so a clean composition needs no other point-length float array.
 A clean vector, one where every point is usable, carries its pair's one
 read-only all-True mask (``SeriesPair.all_points``), so clean data is
 never masked, gathered or copied; masks are built only where the policy
-touches a point or a check has failed.
+touches a point or a check has failed.  ``normalize`` divides every point
+alike, then applies the policy to the degenerate points alone; it reports
+a base that is not a finite number first, then a zero denominator, then
+every point skipped, and a squared base beyond range last.
 """
 
 from __future__ import annotations
@@ -135,12 +138,13 @@ def point_distances(
 
 
 def _normalizer_base(
-    pair: SeriesPair, spec: NormalizerSpec, center: float, part: slice, out: np.ndarray,
+    pair: SeriesPair, spec: NormalizerSpec, center: float, part: slice | np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
-    """The base before its exponent at the points ``part``; a read-only
-    view of the actuals for plain BY_ACTUALS, otherwise written into
-    ``out``.  ``center`` is the mean of all the actuals, the BY_VARIABILITY
-    centre.  The sums and the mean may leave the floating-point range:
+    """The base before its exponent at the points ``part``, a slice or an
+    index array: ``pair.actuals[part]`` itself for plain BY_ACTUALS (a
+    read-only view for a slice), otherwise written into ``out``.
+    ``center`` is the mean of all the actuals, the BY_VARIABILITY centre.
+    The sums and the mean may leave the floating-point range:
     ``_extremes`` refuses such a base."""
     a, p = pair.actuals[part], pair.predicted[part]
     if spec.kind is NormKind.BY_ACTUALS:
@@ -188,14 +192,23 @@ def _near_zero(base: np.ndarray, usable: np.ndarray, lo: float, hi: float) -> np
     return degenerate if degenerate.any() else None
 
 
+def _squared(base: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """``base`` squared into ``out``, and the first position whose square is
+    beyond the floating-point range (None when there is none)."""
+    with np.errstate(over="ignore"):
+        squares = np.square(base, out=out)
+    return squares, int(np.argmax(squares == np.inf)) if squares.max() == np.inf else None
+
+
 def _scaled(
     op: np.ufunc, values: np.ndarray, factor: float, other: np.ndarray, out: np.ndarray,
 ) -> None:
     """op(factor * values, other), written into ``out``.
 
     A quotient or product beyond the floating-point range is left as inf
-    for ``aggregate`` to refuse."""
-    with np.errstate(over="ignore"):
+    for ``aggregate`` to refuse, and a quotient by a zero base as inf or
+    NaN for ``normalize``'s policy step to replace."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if factor != 1.0:
             values = np.multiply(values, factor, out=out)
         op(values, other, out=out)
@@ -223,14 +236,18 @@ def normalize(
     Near-zero bases (|base| < 1e-12) at usable points are degenerate and
     handled per ``policy.zero_denominator``: fail on the first one, skip
     them, or add an epsilon to the base before dividing.  Exponent -1
-    multiplies by the base instead and has no degenerate case.  A base,
-    or squared base, beyond the floating-point range raises
-    NormalizerOverflow whatever the policy; a base that is not a finite
-    number takes precedence over every other error.  The values are
+    multiplies by the base instead and has no degenerate case.  Every
+    point is divided, one block at a time, before the policy acts on the
+    degenerate points alone; a point not usable is then set to 0 (times
+    the factor).  Of coexisting failures the first raised is a base that
+    is not a finite number, anywhere (NormalizerOverflow); then a zero
+    denominator (ZeroDenominator: the first degenerate point under fail;
+    under epsilon, every actual zero or the first base still near zero);
+    then every point skipped (AllPointsSkipped); last, a squared base
+    beyond the floating-point range (NormalizerOverflow).  The values are
     written into ``out`` when it is given (it may be ``points.values``),
     else into a new array; when an error is raised ``out`` may hold part
-    of the result.  The base is built one block of points at a time into
-    one small buffer, so no point-length base array is allocated.
+    of the result.
     """
     if spec.kind is NormKind.UNITARY:
         return _into(points, out)
@@ -242,80 +259,61 @@ def normalize(
     if out is None:
         out = np.empty(n)
     buf = np.empty(min(n, _BLOCK))
-    mode = policy.zero_denominator
-    eps = policy.epsilon
-    clean = points.clean
-    usable = points.usable
+    op = np.multiply if spec.exponent == -1 else np.divide
     hits: list[np.ndarray] = []  # the degenerate usable points, block by block
-    # first point still near zero after the epsilon, first squared base beyond range
-    still = overflow = None
-    # once a degenerate base is an error, later blocks are only checked for
-    # a non-finite base; after a squared base overflows, nothing is divided
-    failed = False
+    numerators: list[np.ndarray] = []  # their values, before ``out`` may overwrite them
+    overflows: list[int] = []  # first points whose squared base is beyond range
 
     for start in range(0, n, _BLOCK):
         part = slice(start, min(start + _BLOCK, n))
         base = _normalizer_base(pair, spec, center, part, buf[:part.stop - start])
         lo, hi = _extremes(base, start)
-        if failed:
-            continue
         values = points.values[part]
-        if spec.exponent == -1:
-            _scaled(np.multiply, values, spec.factor, base, out[part])
-            continue
-        ok = usable[part]
-        degenerate = _near_zero(base, ok, lo, hi)
+        degenerate = None if spec.exponent == -1 else _near_zero(base, points.usable[part], lo, hi)
         if degenerate is not None:
-            hits.append(np.flatnonzero(degenerate) + start)
-            if mode is ZeroDenominatorPolicy.FAIL:
-                failed = True
-                continue
-            if mode is ZeroDenominatorPolicy.SKIP:
-                if usable is points.usable:
-                    usable = usable.copy()
-                ok = usable[part]
-                ok &= ~degenerate
-                clean = False
-            else:
-                if eps is None:
-                    eps = smallest_nonzero_actual(pair.actuals)
-                    if eps == 0.0:
-                        failed = True
-                        continue
-                base = np.where(degenerate, base + eps, base)
-                again = _near_zero(base, ok, *_extremes(base, start))
-                if again is not None:
-                    still, failed = start + int(np.argmax(again)), True
-                    continue
+            at = np.flatnonzero(degenerate)  # an index array gathers faster than a mask
+            hits.append(at + start)
+            numerators.append(values[at])
         if spec.exponent == 2:
-            with np.errstate(over="ignore"):
-                base = np.square(base, out=buf[:base.size])
-            if overflow is None and base.max() == np.inf:
-                overflow = start + int(np.argmax(base == np.inf))
-        if overflow is not None:
-            continue
-        if not clean:
-            values = np.where(ok, values, 0.0)
-            base = np.where(ok, base, 1.0)
-        _scaled(np.divide, values, spec.factor, base, out[part])
+            base, first = _squared(base, buf[:base.size])
+            if first is not None:
+                overflows.append(start + first)
+        _scaled(op, values, spec.factor, base, out[part])
 
-    actions = points.actions
+    usable, actions = points.usable, points.actions
     if hits:
         degenerate = np.concatenate(hits)
-        if mode is ZeroDenominatorPolicy.FAIL:
+        if policy.zero_denominator is ZeroDenominatorPolicy.FAIL:
             raise ZeroDenominator(int(degenerate[0]))
-        if mode is ZeroDenominatorPolicy.SKIP:
+        if policy.zero_denominator is ZeroDenominatorPolicy.SKIP:
+            usable = usable.copy()
+            usable[degenerate] = False
+            out[degenerate] = 0.0 * spec.factor
             actions = actions.with_run(SKIP_ZERO_DENOMINATOR, degenerate)
             if not usable.any():
                 raise AllPointsSkipped("skip policy removed every point (zero denominators)")
         else:
-            if eps == 0.0 and policy.epsilon is None:
-                raise ZeroDenominator(message="epsilon correction impossible: every actual is zero")
+            eps = policy.epsilon
+            if eps is None:
+                eps = smallest_nonzero_actual(pair.actuals)
+                if eps == 0.0:
+                    raise ZeroDenominator(message="epsilon correction impossible: every actual is zero")
+            base = _normalizer_base(pair, spec, center, degenerate, np.empty(degenerate.size)) + eps
+            still = np.abs(base) < NEAR_ZERO
+            if still.any():
+                raise ZeroDenominator(int(degenerate[np.argmax(still)]))
+            if spec.exponent == 2:
+                base, first = _squared(base, base)
+                if first is not None:
+                    overflows.append(int(degenerate[first]))
+            corrected = np.concatenate(numerators)
+            _scaled(np.divide, corrected, spec.factor, base, corrected)
+            out[degenerate] = corrected
             actions = actions.with_run(EPSILON_CORRECTED, degenerate)
-            if still is not None:
-                raise ZeroDenominator(still)
-    if overflow is not None:
-        raise NormalizerOverflow(overflow)
+    if overflows:
+        raise NormalizerOverflow(min(overflows))
+    if spec.exponent != -1 and not points.usable.all():
+        out[~points.usable] = 0.0 * spec.factor
     return PointVector(out, usable, actions)
 
 

@@ -74,11 +74,6 @@ class AggKind(Enum):
     TRUNCATED_MEAN = "truncated"
     WINSORIZED_MEAN = "winsorized"
 
-    @property
-    def core(self) -> bool:
-        """True for the four aggregators that form the chart grid."""
-        return self in (AggKind.MEAN, AggKind.MEDIAN, AggKind.GEOMETRIC_MEAN, AggKind.SUM)
-
 
 class PointTransform(Enum):
     """Optional per-point map applied after normalization."""

@@ -255,6 +255,33 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "unknown metric 'RMSEP'" in err
 
+    @pytest.mark.parametrize("selection,variants", [
+        (["--suite", "percentage"], {"MAPE": "nonesuch"}),
+        (["--metrics", "RAE"], {"RAE": ""}),
+        (["--metrics", "MAE"], {"RAE": "nonesuch"}),
+    ])
+    def test_every_variant_entry_is_checked(self, capsys, demo_csv, tmp_path, selection, variants):
+        (name, variant), = variants.items()
+        message = f"metric {name!r} has no variant {variant!r}"
+        code, out, err = run(capsys, "eval", "--input", demo_csv, *selection,
+                             "--variant", f"{name}={variant}")
+        assert (code, out) == (2, "")
+        assert message in err
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "variants": variants}))
+        code, out, err = run(capsys, "eval", "--config", str(cfg), *selection)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_null_config_variant_means_the_default(self, capsys, demo_csv, tmp_path):
+        _, plain, _ = run_json(capsys, "eval", "--input", demo_csv, "--metrics", "RAE")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "metrics": "RAE", "variants": {"RAE": None}}))
+        code, report, _ = run_json(capsys, "eval", "--config", str(cfg))
+        assert code == 0
+        assert report["metrics"] == plain["metrics"]
+        assert "variant" not in report["metrics"][0]
+
     def test_suite_expansion(self, capsys, demo_csv):
         code, report, _ = run_json(
             capsys, "eval", "--input", demo_csv, "--suite", "percentage"
@@ -671,6 +698,20 @@ class TestDescriptorValues:
         assert "more than once" in err
 
 
+    @pytest.mark.parametrize("descriptor,unused", [
+        ("distance=D2 aggregator=G1 factor=2", "factor"),
+        ("distance=D2 normalizer=N1 aggregator=G1 c=2", "c"),
+        ("distance=D2 aggregator=G1 absolute=true c=1", "absolute, c"),
+    ])
+    def test_unitary_normalizer_refuses_its_fields(self, capsys, demo_csv, descriptor, unused):
+        message = f"N1 normalizer takes no {unused}"
+        with pytest.raises(ParseError, match=message):
+            cli.parse_composition(descriptor)
+        code, out, err = run(capsys, "eval", "--input", demo_csv, "--composition", descriptor)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 COMMA_DESCRIPTORS = ["distance=D3 aggregator=G1 post=sqrt,scale:2",
                      "distance=D2 aggregator=G1 post=sqrt,scale:2"]
 
@@ -761,3 +802,76 @@ def test_values_near_double_range_give_finite_values_or_typed_errors(capsys, tmp
             assert issubclass(getattr(errors, e["error"]["type"]), errors.EvaluationError), e
         else:
             assert math.isfinite(e["value"]), e
+
+
+class TestErrorBranches:
+    """The CLI's refusals, each exiting 2 with its message and nothing on
+    stdout, and two paths beside them: the symmetric-accuracy post
+    transform, and a table report holding an error entry."""
+
+    @pytest.mark.parametrize("descriptor,message", [
+        ("distance=D2 aggregator=G1 oops", "descriptor token 'oops' is not key=value"),
+        ("distance=D2 aggregator=G1 colour=red", "unknown descriptor key(s): colour"),
+        ("distance=D2", "descriptor needs at least distance=... and aggregator=..."),
+        ("aggregator=G1", "descriptor needs at least distance=... and aggregator=..."),
+        ("distance=D2 aggregator=G1 post=cube", "unknown post transform 'cube'"),
+        ("distance=D2 aggregator=G1 post=scale:x", "bad scale constant in post transform 'scale:x'"),
+        ("distance=D2 aggregator=G1 transform=squash", "unknown transform 'squash'"),
+        ("distance=D2 normalizer=N2 aggregator=G1 c=two", "bad numeric field in descriptor"),
+    ])
+    def test_bad_descriptor(self, capsys, demo_csv, descriptor, message):
+        code, out, err = run(capsys, "eval", "--input", demo_csv, "--composition", descriptor)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_symmetric_accuracy_post_is_accepted(self, capsys, demo_csv):
+        code, report, _ = run_json(capsys, "eval", "--input", demo_csv, "--composition",
+                                   "distance=D5 aggregator=G1 post=symmetric-accuracy")
+        assert code == 0
+        logs = np.abs(np.log(np.array([2, 2, 5, 3]) / np.array([1, 2, 3, 4])))
+        assert report["metrics"][0]["value"] == pytest.approx(100 * math.expm1(logs.mean()), rel=1e-12)
+        assert report["metrics"][0]["dimension"] == "percent"
+
+    def test_cell_with_an_unknown_part(self, capsys):
+        code, out, err = run(capsys, "list", "--cell", "D2,N9,G1")
+        assert (code, out) == (2, "")
+        assert "unknown normalizer 'n9' in cell 'D2,N9,G1'" in err
+
+    def test_variant_without_equals(self, capsys, demo_csv):
+        code, out, err = run(capsys, "eval", "--input", demo_csv, "--metrics", "RAE",
+                             "--variant", "RAE")
+        assert (code, out) == (2, "")
+        assert "--variant must be NAME=VARIANT, got 'RAE'" in err
+
+    def test_no_input(self, capsys):
+        code, out, err = run(capsys, "eval", "--metrics", "MAE")
+        assert (code, out) == (2, "")
+        assert "no input file: pass --input or set 'input' in the config" in err
+
+    @pytest.mark.parametrize("payload,message", [
+        ("[1, 2]", "must hold a JSON object with named arrays"),
+        ('{"actual": [1, 2]}', "is missing key 'predicted'"),
+    ])
+    def test_json_input_shape(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(payload)
+        code, out, err = run(capsys, "eval", "--input", str(path), "--metrics", "MAE")
+        assert (code, out) == (2, "")
+        assert f"{path} {message}" in err
+
+    @pytest.mark.parametrize("payload", ['{"history": [1, 3, 2]}', '"1, 3, 2"'])
+    def test_history_json_shape(self, capsys, demo_csv, tmp_path, payload):
+        history = tmp_path / "history.json"
+        history.write_text(payload)
+        code, out, err = run(capsys, "eval", "--input", demo_csv, "--metrics", "MASE",
+                             "--in-sample", str(history))
+        assert (code, out) == (2, "")
+        assert f"{history} must be a JSON array or an object with key 'actual'" in err
+
+    def test_table_report_names_the_error(self, capsys, zero_csv):
+        code, out, _ = run(capsys, "eval", "--input", zero_csv, "--metrics", "MAPE,MAE",
+                           "--report", "table")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1].split()[:3] == ["MAPE", "ERROR", "ZeroDenominator"]
+        assert lines[1].endswith("normalization denominator is zero or near zero at index 0")
