@@ -21,6 +21,7 @@ available from the library, as ``MetricResult.actions``.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import sys
@@ -30,6 +31,7 @@ from enum import Enum
 from typing import Any, Sequence
 
 import numpy as np
+import orjson
 
 from . import __version__, chart, derived, registry
 from .evaluator import evaluate
@@ -72,14 +74,35 @@ def _open_text(path: str):
     return _open(path, "r", encoding="utf-8-sig", newline="")
 
 
+# orjson (3.8) builds a document's objects by recursion, and a document
+# nested ~150 000 deep overflows an 8 MiB stack and kills the interpreter.
+# Only a document with at most this many opening brackets goes to orjson.
+_ORJSON_BRACKETS = 1000
+
+
 def _load_json(path: str) -> Any:
-    """The parsed document; a decoding error, or an integer too long for
-    Python to convert, is a ParseError."""
-    with _open_text(path) as fh:
+    """The parsed document, from orjson; a leading byte-order mark is dropped.
+
+    A document orjson refuses (NaN or Infinity literals, a number beyond
+    the double range, a lone surrogate escape, an integer over 4300
+    digits, bytes that are not UTF-8, no JSON at all), or one holding more than
+    ``_ORJSON_BRACKETS`` opening brackets, is parsed by ``json``, which
+    accepts the first three kinds and words the error of the others; that
+    error, or a nesting deeper than ``json`` can follow, is a ParseError.
+    """
+    with _open(path, "rb") as fh:
+        raw = fh.read()
+    body = raw.removeprefix(codecs.BOM_UTF8)
+    codes = np.frombuffer(body, dtype=np.uint8)
+    if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) <= _ORJSON_BRACKETS:
         try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+            return orjson.loads(body)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        return json.loads(raw.decode("utf-8-sig"))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _csv_header(reader, path: str, columns: Sequence[str]) -> list[str]:
@@ -430,6 +453,7 @@ def _selection_plan(
     A ``variants`` key is any name ``registry.lookup`` knows, and the last
     key naming a metric wins; its variant must be one the metric has,
     whether or not the metric is selected, and None means the default.
+    A suite member takes that variant unless it pins its own (``NAME:VARIANT``).
     Anything invalid here is a configuration error, not a metric failure.
     """
     plan: dict[tuple[str, str | None], MetricComposition | None] = {}
@@ -449,7 +473,8 @@ def _selection_plan(
     for suite_name in suites:
         for member in derived.get_suite(suite_name, extra_suites).members:
             abbr, _, variant = member.partition(":")
-            add_named(registry.lookup(abbr), variant or None)
+            defn = registry.lookup(abbr)
+            add_named(defn, variant or by_abbreviation.get(defn.abbreviation))
     for text in compositions:
         plan.setdefault((text, None), parse_composition(text))
     if not plan:

@@ -34,17 +34,20 @@ from .types import (
 
 def _guarded(
     num: np.ndarray,
-    den: np.ndarray,
+    base: np.ndarray,
     actuals: np.ndarray,
     policy: EvaluationPolicy,
+    power: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """num/den with near-zero denominators resolved per policy.
+    """num / base**power with near-zero bases resolved per policy.
 
+    A base is degenerate when |base| < 1e-12, before the power is taken;
+    the epsilon policy adds its correction to the base, then raises it.
     Returns the quotient and a usability mask; skipped points hold 0.
     """
-    bad = np.abs(den) < NEAR_ZERO
+    bad = np.abs(base) < NEAR_ZERO
     if not bad.any():
-        return num / den, np.ones(num.size, dtype=bool)
+        return num / base ** power, np.ones(num.size, dtype=bool)
     mode = policy.zero_denominator
     if mode is ZeroDenominatorPolicy.FAIL:
         raise ZeroDenominator(int(np.argmax(bad)))
@@ -52,16 +55,16 @@ def _guarded(
         mask = ~bad
         if not mask.any():
             raise AllPointsSkipped("skip policy removed every point (zero denominators)")
-        return np.where(mask, num / np.where(bad, 1.0, den), 0.0), mask
+        return np.where(mask, num / np.where(bad, 1.0, base) ** power, 0.0), mask
     eps = policy.epsilon
     if eps is None:
         eps = smallest_nonzero_actual(actuals)
         if eps == 0.0:
             raise ZeroDenominator(message="epsilon correction impossible: every actual is zero")
-    den = np.where(bad, den + eps, den)
-    if (np.abs(den) < NEAR_ZERO).any():
-        raise ZeroDenominator(int(np.argmax(np.abs(den) < NEAR_ZERO)))
-    return num / den, np.ones(num.size, dtype=bool)
+    base = np.where(bad, base + eps, base)
+    if (np.abs(base) < NEAR_ZERO).any():
+        raise ZeroDenominator(int(np.argmax(np.abs(base) < NEAR_ZERO)))
+    return num / base ** power, np.ones(num.size, dtype=bool)
 
 
 def _log_ratio(
@@ -356,7 +359,7 @@ def squd(a, p, policy=FAIL_FAST):
 
 def divd(a, p, policy=FAIL_FAST):
     """Divergence distance."""
-    q, mask = _guarded(2.0 * (a - p) ** 2, (a + p) ** 2, a, policy)
+    q, mask = _guarded(2.0 * (a - p) ** 2, a + p, a, policy, power=2)
     return _sum(q, mask)
 
 
@@ -368,7 +371,7 @@ def rse(a, p, policy=FAIL_FAST, option=1):
         if abs(den) < NEAR_ZERO:
             raise ZeroDenominator(message="sum of (A - mean(A))^2 is zero")
         return float(np.sum((a - p) ** 2) / den)
-    q, mask = _guarded((a - p) ** 2, dev ** 2, a, policy)
+    q, mask = _guarded((a - p) ** 2, dev, a, policy, power=2)
     return _sum(q, mask)
 
 
@@ -379,13 +382,13 @@ def rrse(a, p, policy=FAIL_FAST, option=1):
 
 def mspe(a, p, policy=FAIL_FAST):
     """Mean square percentage error."""
-    q, mask = _guarded((a - p) ** 2, a ** 2, a, policy)
+    q, mask = _guarded((a - p) ** 2, a, a, policy, power=2)
     return 100.0 * _mean(q, mask)
 
 
 def mdspe(a, p, policy=FAIL_FAST):
     """Median square percentage error."""
-    q, mask = _guarded((a - p) ** 2, a ** 2, a, policy)
+    q, mask = _guarded((a - p) ** 2, a, a, policy, power=2)
     return 100.0 * _median(q, mask)
 
 
@@ -396,7 +399,7 @@ def rmspe(a, p, policy=FAIL_FAST, variant=None):
     takes the root before scaling to percent.
     """
     if variant == "conventional":
-        q, mask = _guarded((a - p) ** 2, a ** 2, a, policy)
+        q, mask = _guarded((a - p) ** 2, a, a, policy, power=2)
         return 100.0 * float(np.sqrt(_mean(q, mask)))
     return float(np.sqrt(mspe(a, p, policy)))
 
@@ -404,7 +407,7 @@ def rmspe(a, p, policy=FAIL_FAST, variant=None):
 def rmdspe(a, p, policy=FAIL_FAST, variant=None):
     """Root median square percentage error."""
     if variant == "conventional":
-        q, mask = _guarded((a - p) ** 2, a ** 2, a, policy)
+        q, mask = _guarded((a - p) ** 2, a, a, policy, power=2)
         return 100.0 * float(np.sqrt(_median(q, mask)))
     return float(np.sqrt(mdspe(a, p, policy)))
 

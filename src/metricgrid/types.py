@@ -501,8 +501,8 @@ class BenchmarkInput:
 def smallest_nonzero_actual(actuals: np.ndarray) -> float:
     """Smallest nonzero |actual|; 0.0 when every actual is zero."""
     mags = np.abs(actuals)
-    mags = mags[mags > 0]
-    return float(mags.min()) if mags.size else 0.0
+    smallest = float(np.where(mags > 0, mags, np.inf).min(initial=np.inf))
+    return 0.0 if smallest == np.inf else smallest
 
 
 def ensure_iterable_of_floats(values: Iterable[Any], name: str) -> np.ndarray:

@@ -297,6 +297,32 @@ class TestEval:
         assert code == 0
         assert [e["name"] for e in report["metrics"]] == ["MAPE", "MdAPE", "sMAPE"]
 
+    def test_variant_reaches_suite_members(self, capsys, demo_csv, tmp_path):
+        _, alone, _ = run_json(capsys, "eval", "--input", demo_csv, "--metrics", "sMAPE",
+                               "--variant", "sMAPE=absolute")
+        code, report, _ = run_json(capsys, "eval", "--input", demo_csv, "--suite", "percentage",
+                                   "--variant", "smape=absolute")
+        assert code == 0
+        assert [e["name"] for e in report["metrics"]] == ["MAPE", "MdAPE", "sMAPE"]
+        assert report["metrics"][2] == alone["metrics"][0]
+        assert alone["metrics"][0]["variant"] == "absolute"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "suites": ["percentage"],
+                                   "variants": {"sMAPE": "absolute"}}))
+        code, from_config, _ = run_json(capsys, "eval", "--config", str(cfg))
+        assert code == 0
+        assert from_config["metrics"] == report["metrics"]
+
+    def test_suite_member_keeps_its_pinned_variant(self, capsys, demo_csv, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": demo_csv, "suites": ["mine"], "suite_definitions": {
+            "mine": {"members": ["sMAPE:mean-denominator", "RMSPE"]}}}))
+        for flags in ([], ["--variant", "sMAPE=absolute", "--variant", "RMSPE=conventional"]):
+            code, report, _ = run_json(capsys, "eval", "--config", str(cfg), *flags)
+            assert code == 0
+            assert report["metrics"][0]["variant"] == "mean-denominator"
+        assert report["metrics"][1]["variant"] == "conventional"
+
     def test_unknown_suite(self, capsys, demo_csv):
         code, _, err = run(capsys, "eval", "--input", demo_csv, "--suite", "nonesuch")
         assert code == 2

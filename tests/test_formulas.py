@@ -221,6 +221,25 @@ class TestDenominatorPolicies:
         policy = EvaluationPolicy(zero_denominator=ZeroDenominatorPolicy.EPSILON, epsilon=0.5)
         assert F.mare(a, p, policy) == pytest.approx(np.mean([2.0, 1.0]), rel=1e-12)
 
+    @pytest.mark.parametrize("name, variant, formula", [
+        ("MSPE", None, F.mspe),
+        ("MdSPE", None, F.mdspe),
+        ("RMSPE", "conventional", lambda a, p, policy: F.rmspe(a, p, policy, "conventional")),
+        ("RMdSPE", "conventional", lambda a, p, policy: F.rmdspe(a, p, policy, "conventional")),
+        ("DivD", None, F.divd),
+        ("RSE", None, F.rse),
+    ])
+    def test_epsilon_corrects_a_squared_base_before_the_square(self, name, variant, formula):
+        # one degenerate base each: A (index 0, the median point), A + P (index 2),
+        # A - mean(A) (index 4); epsilon is the smallest nonzero |A|, 0.5, so
+        # (0 + eps)^2 and 0^2 + eps differ
+        a = np.array([0.0, 2.0, -0.5, 3.5, 1.25])
+        p = np.array([0.28, 3.0, 0.5, 2.5, 2.0])
+        policy = EvaluationPolicy(zero_denominator=ZeroDenominatorPolicy.EPSILON)
+        got = evaluate_named(validate_series_pair(a, p), name, policy, variant)
+        assert got.points_skipped == 0 and len(got.actions) == 1
+        assert rel_close(got.value, formula(a, p, policy))
+
 
 class TestWholeSeriesAndComposite:
     def test_extended_family(self):

@@ -4,13 +4,20 @@
 file with ``cli._read_rows`` only when that call cannot give the same
 result; ``cli._json_floats`` converts an all-number JSON array in one call
 and walks any other one element by element.  Each pair must agree bit for
-bit, or raise the same error with the same text.
+bit, or raise the same error with the same text.  JSON is parsed by orjson,
+and by ``json`` where orjson refuses a document; either way the numbers and
+the errors are the ones ``json`` alone gives.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,3 +344,114 @@ def test_config_byte_order_mark_is_dropped(tmp_path, capsys):
         return capsys.readouterr().out
 
     assert report(str(marked)) == report(plain)
+
+
+# --- JSON parsing: orjson, with json for the documents orjson refuses ------
+
+def number_texts():
+    """Number literals as JSON writers spell them, within the double range."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    subnormal = st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
+    wide = st.sampled_from([2**53, 2**63, 2**64, 10**20, 10**308]).flatmap(
+        lambda m: st.integers(-m - 1000, m + 1000))
+    return st.one_of(
+        st.one_of(finite, subnormal).flatmap(lambda x: st.sampled_from(
+            [repr(x), "%.17g" % x, "%.17e" % x, "%.3e" % x, "%.40g" % x])),
+        st.builds("{}e{}".format, st.integers(-10**20, 10**20), st.integers(-345, 288)),
+        st.builds("{}.{}E+{}".format, st.integers(-9, 9), st.integers(0, 10**25), st.integers(0, 307)),
+        st.sampled_from(["-0.0", "-0", "0e0", "-0.0e-5", "1e308", "1.7976931348623157e308",
+                         "4.9406564584124654e-324", "2.4703282292062328e-324"]),
+        wide.map(str),
+    )
+
+
+def json_reference(text, column):
+    """What ``json.loads`` and ``_json_floats`` make of the text: the reference."""
+    payload = json.loads(text)
+    return cli._json_floats(payload if isinstance(payload, list) else payload[column], column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(number_texts(), min_size=1, max_size=30), st.data())
+def test_number_texts_parse_as_json_does(tmp_path_factory, texts, data):
+    other = data.draw(st.lists(number_texts(), min_size=len(texts), max_size=len(texts)))
+    doc = f'{{"actual": [{", ".join(texts)}], "predicted": [{", ".join(other)}]}}'
+    bare = f"[{', '.join(texts)}]"
+    directory = tmp_path_factory.mktemp("numbers")
+    obj, array = write(directory, "in.json", doc), write(directory, "history.json", bare)
+    want = {c: outcome(json_reference, doc, c)[1][""] for c in COLUMNS}
+    assert outcome(cli.read_columns_json, obj, COLUMNS) == ("ok", want)
+    assert outcome(cli.load_series, obj, "actual") == ("ok", {"": want["actual"]})
+    assert outcome(cli.load_series, array, "actual") == outcome(json_reference, bare, "actual")
+
+
+HUGE_5000 = "1" + "0" * 5000
+NAN, INF = float("nan"), float("inf")
+
+# Documents orjson refuses, or (a BOM) that the reader must first trim, and
+# what ``json`` alone makes of each: the actual column, or the error.
+FALLBACK = {
+    "nan": (b'{"actual": [NaN, 1], "predicted": [1, 2]}', [NAN, 1.0]),
+    "infinity": (b'{"actual": [Infinity, -Infinity], "predicted": [1, 2]}', [INF, -INF]),
+    "beyond-double": (b'{"actual": [1, 1e400], "predicted": [1, 2]}', [1.0, INF]),
+    "int-400-digits": (f'{{"actual": [1, {HUGE}], "predicted": [1, 2]}}'.encode(),
+                       "actual[1] is an integer beyond the float range"),
+    "int-5000-digits": (f'{{"actual": [{HUGE_5000}], "predicted": [1]}}'.encode(),
+                        "{} is not valid JSON: Exceeds the limit (4300 digits) for integer "
+                        "string conversion: value has 5001 digits; use "
+                        "sys.set_int_max_str_digits() to increase the limit"),
+    "lone-surrogate": (b'{"actual": [1, 2], "predicted": [1, 2], "note": "\\ud800"}', [1.0, 2.0]),
+    "not-utf8": (b'{"actual": [1, 2], "predicted": [1, 2], "note": "\xff"}',
+                 "{} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 49: "
+                 "invalid start byte"),
+    "bom-then-not-utf8": (b'\xef\xbb\xbf{"actual": [1, 2], "predicted": [1, 2], "note": "\xff"}',
+                          "{} is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+                          "position 49: invalid start byte"),
+    "bom": (b'\xef\xbb\xbf{"actual": [1, 2.5], "predicted": [1, 2]}', [1.0, 2.5]),
+    "two-boms": (b'\xef\xbb\xbf\xef\xbb\xbf{"actual": [1], "predicted": [1]}',
+                 "{} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                 "line 1 column 1 (char 0)"),
+    "bom-then-bad-syntax": (b'\xef\xbb\xbf{"actual": [1, 2.5], "predicted": [1, 2],}',
+                            "{} is not valid JSON: Expecting property name enclosed in double "
+                            "quotes: line 1 column 42 (char 41)"),
+    "empty": (b"", "{} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
+def test_documents_orjson_refuses_read_as_before(tmp_path, name):
+    raw, want = FALLBACK[name]
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as info:
+            cli.read_columns_json(str(path), COLUMNS)
+        assert str(info.value) == want.format(path)
+    else:
+        data = cli.read_columns_json(str(path), COLUMNS)
+        assert data["actual"].tobytes() == np.array(want).tobytes()
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(raw)
+
+
+@pytest.mark.parametrize("role", ["input", "config"])
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 2000 + "]" * 2000], ids=["open", "closed"])
+def test_deep_nesting_exits_2(tmp_path, capsys, role, text):
+    deep = write(tmp_path, "deep.json", text)
+    clean = write(tmp_path, "in.json", CLEAN_JSON)
+    argv = ["--input", deep, "--metrics", "MAE"] if role == "input" else ["--config", deep, "--input", clean]
+    assert cli.main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {deep} is not valid JSON: maximum recursion depth exceeded")
+
+
+def test_nesting_too_deep_for_orjson_exits_2(tmp_path):
+    # orjson would overflow the C stack building this; run it in a child so
+    # that a crash fails this test instead of the whole run
+    deep = write(tmp_path, "deep.json", "[" * 200_000 + "]" * 200_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "metricgrid", "eval", "--input", deep, "--metrics", "MAE"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {deep} is not valid JSON: maximum recursion depth exceeded")

@@ -28,6 +28,7 @@ from metricgrid.errors import (
     NonFiniteValue,
     ValidationError,
 )
+from metricgrid.types import smallest_nonzero_actual
 
 
 class TestSeriesPair:
@@ -203,3 +204,27 @@ class TestBenchmarkInput:
     def test_in_sample_rejects_nan(self):
         with pytest.raises(NonFiniteValue):
             BenchmarkInput(in_sample=np.array([1.0, float("nan")]))
+
+
+class TestSmallestNonzeroActual:
+    @staticmethod
+    def gathered(actuals):
+        # the expression this function replaced: a gather through a boolean mask
+        mags = np.abs(actuals)
+        mags = mags[mags > 0]
+        return float(mags.min()) if mags.size else 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_gathered_minimum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        actuals = rng.normal(0.0, 10.0 ** rng.integers(-300, 300), n)
+        actuals[rng.random(n) < rng.random()] = 0.0
+        actuals[rng.random(n) < 0.1] = -0.0
+        got = smallest_nonzero_actual(actuals)
+        assert type(got) is float and got == self.gathered(actuals)
+
+    @pytest.mark.parametrize("actuals", [[0.0], [0.0, -0.0, 0.0], [], [5e-324, 0.0], [-2.0, 0.0, 3.0]])
+    def test_edge_cases(self, actuals):
+        actuals = np.array(actuals, dtype=float)
+        assert smallest_nonzero_actual(actuals) == self.gathered(actuals)
