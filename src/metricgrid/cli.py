@@ -24,6 +24,7 @@ import argparse
 import codecs
 import csv
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -121,6 +122,85 @@ def _csv_header(reader, path: str, columns: Sequence[str]) -> list[str]:
     return header
 
 
+# Bytes a plain numeric table is made of: JSON's number characters, the
+# comma, the line ends and the two blanks that both readers ignore.
+_TABLE_BYTES = b"0123456789+-.eE,\n\r \t"
+
+# orjson reads the integer -0 as 0, where float() gives -0.0.  This also
+# matches an exponent of -0 ("1e-0"), which only costs that file the tier.
+_INT_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+# Bytes per piece of the orjson tier: a piece's parse holds three to five
+# times its size in bytes and Python floats at once.
+_CHUNK = 1 << 15
+
+
+def _line_chunks(fh, size: int):
+    """The rest of a binary file in pieces of about ``size`` bytes, each
+    ending at a newline except, if the file does not, the last."""
+    rest = b""
+    while block := fh.read(size):
+        rest += block
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _table_piece(piece: bytes, width: int) -> np.ndarray | None:
+    """The rows of one piece as a float table, or None where it may not be
+    a plain numeric table.
+
+    It is one when every byte is in ``_TABLE_BYTES``, every CR ends a CRLF,
+    every line holds ``width - 1`` commas, its lines joined by commas form
+    a JSON array of rows x ``width`` numbers, and no number is the integer
+    ``-0``.  Each JSON number is then also a ``float()`` literal, and
+    orjson reads it to the same double, or to an int that converts to it.
+    """
+    if piece.translate(None, _TABLE_BYTES) or (
+        b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n")
+    ):
+        return None
+    lines = piece.removesuffix(b"\n")
+    codes = np.frombuffer(lines, dtype=np.uint8)
+    commas = np.flatnonzero(codes == ord(","))
+    newlines = np.flatnonzero(codes == ord("\n"))
+    rows = len(newlines) + 1
+    # line i (from 1) ends after exactly i * (width - 1) commas
+    if len(commas) != rows * (width - 1) or not np.array_equal(
+        np.searchsorted(commas, newlines), np.arange(1, rows) * (width - 1)
+    ):
+        return None
+    try:
+        values = orjson.loads(b"[" + lines.replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(values) != rows * width or _INT_MINUS_ZERO.search(lines):
+        return None
+    return np.array(values, dtype=float).reshape(-1, width)
+
+
+def _table_columns(
+    fh, header: list[str], columns: Sequence[str]
+) -> dict[str, np.ndarray] | None:
+    """The named columns of a body that is a plain numeric table, parsed by
+    orjson one piece at a time (``_table_piece``); None where any piece may
+    not be one, or the body is empty."""
+    kept: dict[str, list[np.ndarray]] = {c: [] for c in columns}
+    for piece in _line_chunks(fh, _CHUNK):
+        table = _table_piece(piece, len(header))
+        if table is None:
+            return None
+        for c in kept:
+            kept[c].append(table[:, header.index(c)].copy())
+    if not any(kept.values()):
+        return None
+    # one column at a time, each freeing its pieces, so the table is never held twice
+    return {c: np.concatenate(kept.pop(c)) for c in list(kept)}
+
+
 def _parse_body(fh) -> np.ndarray | None:
     """Every remaining row as one float table, or None where NumPy rejects it.
 
@@ -138,13 +218,27 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     """Read named numeric columns from a headered, comma-separated file.
 
     Any row that cannot be parsed is a hard error naming its line number
-    (the header is line 1).  The body is parsed in one NumPy call; a file
-    it rejects, or whose rows are shorter than the header, is read again
-    row by row, which gives the same numbers and the line-numbered error.
-    A leading UTF-8 byte-order mark is dropped; bytes that are not UTF-8
-    are a ParseError.
+    (the header is line 1).  Three readers give the same numbers, and each
+    hands a file it may misread to the next.  A plain table (an ASCII
+    header with no quote, then rows of exactly the header's width holding
+    only numbers JSON also accepts, LF or CRLF line ends, no blank lines)
+    is parsed by orjson in pieces (``_table_columns``).  Any other body is
+    parsed in one NumPy call (``_parse_body``): quoted fields, ``-0``,
+    ``nan``/``inf``, ``+1``, ``.5`` or ``01``, blank lines, CR-only line
+    ends, rows longer than the header.  A file NumPy rejects, or whose
+    rows are shorter than the header, is read again row by row
+    (``_read_rows``), which gives the line-numbered error.  A leading UTF-8
+    byte-order mark is dropped; bytes that are not UTF-8 are a ParseError.
     """
     try:
+        with _open(path, "rb") as fh:
+            first = fh.readline().removeprefix(codecs.BOM_UTF8)
+            if (first and first.isascii() and b'"' not in first
+                    and b"\r" not in first.removesuffix(b"\r\n")):
+                header = _csv_header(csv.reader([first.decode()]), path, columns)
+                found = _table_columns(fh, header, columns)
+                if found is not None:
+                    return found
         with _open_text(path) as fh:
             first = fh.readline()
             if first and '"' not in first:
@@ -650,6 +744,8 @@ def _check_config(config: dict[str, Any], path: str) -> None:
     else:
         ok = isinstance(epsilon, (int, float)) and not isinstance(epsilon, bool)
     expect(epsilon is None or ok, "policy.epsilon", "a number or 'smallest-nonzero'")
+    expect(not (isinstance(epsilon, int) and _overflows(epsilon)), "policy.epsilon",
+           "within the float range")
     definitions = config.get("suite_definitions", {})
     expect(isinstance(definitions, dict), "suite_definitions", "an object of suite definitions")
     for name, body in definitions.items():

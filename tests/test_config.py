@@ -42,6 +42,7 @@ BAD = [
     ("policy.nonpositive_log_ratio", {"policy": {"nonpositive_log_ratio": "epsilon"}}),
     ("policy.epsilon", {"policy": {"epsilon": True}}),
     ("policy.epsilon", {"policy": {"epsilon": [0.5]}}),
+    ("policy.epsilon", {"policy": {"epsilon": 10**400}}),
     ("suites", {"suites": "percentage"}),
     ("compositions", {"compositions": "distance=D2 aggregator=G1"}),
     ("input_format", {"input_format": "xml"}),
@@ -73,6 +74,15 @@ def test_epsilon_text_that_is_not_a_number_names_the_key(data, capsys):
     # the flag keeps its own message
     assert cli.main(["eval", "-i", "d.csv", "-m", "MAE", "--epsilon", "abc"]) == 2
     assert "--epsilon must be a number or 'smallest-nonzero', got 'abc'" in capsys.readouterr().err
+
+
+def test_epsilon_integer_beyond_float_range_names_the_key(data, capsys):
+    with open("c.json", "w", encoding="utf-8") as fh:
+        fh.write('{"input": "d.csv", "metrics": "MAE", "policy": {"epsilon": 1' + "0" * 400 + "}}")
+    assert cli.main(["eval", "--config", "c.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: c.json: config key 'policy.epsilon' must be within the float range\n"
 
 
 def test_nulls_and_unknown_keys_are_ignored(data, capsys):

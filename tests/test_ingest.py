@@ -1,18 +1,25 @@
 """Vectorized ingest against the row-by-row reader it falls back to.
 
-``cli.read_columns_csv`` parses a body in one NumPy call and re-reads the
-file with ``cli._read_rows`` only when that call cannot give the same
-result; ``cli._json_floats`` converts an all-number JSON array in one call
-and walks any other one element by element.  Each pair must agree bit for
-bit, or raise the same error with the same text.  JSON is parsed by orjson,
-and by ``json`` where orjson refuses a document; either way the numbers and
-the errors are the ones ``json`` alone gives.
+``cli.read_columns_csv`` parses a plain numeric table with orjson, in
+pieces cut at newlines (``cli._table_columns``); it parses any other body
+in one NumPy call (``cli._parse_body``), and re-reads the file with
+``cli._read_rows`` only when that call cannot give the same result.
+``cli._json_floats`` converts an all-number JSON array in one call and
+walks any other one element by element.  Each fast reader must agree with
+the element-by-element one bit for bit, or raise the same error with the
+same text.  A CSV body that orjson would read otherwise than ``float()``
+(``-0``, ``true``, ``01``, ...) must leave the orjson tier.  JSON files
+are parsed by orjson, and by ``json`` where orjson refuses a document;
+either way the numbers and the errors are the ones ``json`` alone gives.
 """
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -67,14 +74,29 @@ BODIES = {
     "non-numeric-unselected": "actual,note,predicted\n1,x,2\n",
     "single-row": "actual,predicted\n1,2\n",
     "no-final-newline": "actual,predicted\n1,2\n3,4",
+    # texts JSON reads otherwise than float(), or refuses
+    "minus-zero-int": "actual,predicted\n-0,1.5\n2.5,-0\n",
+    "minus-zero-float": "actual,predicted\n-0.0,1.5\n2.5,-0.0\n",
+    "json-true": "actual,predicted\ntrue,1.5\n",
+    "json-null": "actual,predicted\n1.5,null\n",
+    "json-array": "actual,predicted\n[1],2\n",
+    "leading-zero": "actual,predicted\n01,1.5\n",
+    "trailing-dot": "actual,predicted\n1.,1.5\n",
+    "leading-dot": "actual,predicted\n.5,1.5\n",
+    "plus-sign": "actual,predicted\n+1,1.5\n",
+    "upper-exponent": "actual,predicted\n1E5,1.5\n-2.5E-3,3E+0\n",
+    "int-2**53+1": "actual,predicted\n9007199254740993,1.5\n",
+    "int-2**64+1": "actual,predicted\n18446744073709551617,1.5\n",
 }
 
-# Bodies the single NumPy call must serve without re-reading the file.
+# Bodies the orjson tier or the single NumPy call must serve without
+# re-reading the file.
 FAST = [
     "crlf", "cr-only", "quoted-numbers", "quoted-padded", "quote-then-digits",
     "spaces-and-tabs", "empty-lines", "longer-rows", "nan-inf",
     "overflowing-literal", "subnormal-and-zero", "header-padded",
     "duplicate-header", "single-row", "no-final-newline",
+    "minus-zero-float", "upper-exponent",
 ]
 
 
@@ -170,6 +192,108 @@ def test_float_reprs_parse_bit_for_bit(tmp_path_factory, rows):
     assert got == outcome(cli._read_rows, path, COLUMNS)
     assert got[1]["actual"][2] == np.array([a for a, _ in rows]).tobytes()
     assert got[1]["predicted"][2] == np.array([p for _, p in rows]).tobytes()
+
+
+# --- the orjson tier ---------------------------------------------------------
+
+def json_float_texts():
+    """Float literals JSON reads as floats: each has a fraction or an exponent."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    subnormal = st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
+    return st.one_of(
+        st.one_of(finite, subnormal).flatmap(
+            lambda x: st.sampled_from([repr(x), "%.17e" % x, "%.3E" % x])),
+        st.builds("{}{}{}".format, st.integers(-10**20, 10**20), st.sampled_from("eE"),
+                  st.integers(-345, 288)),
+        st.sampled_from(["-0.0", "0.0", "-0e0", "-0.0E-5", "5e-324", "-4.9406564584124654e-324"]),
+    )
+
+
+def csv_number_texts():
+    """Number texts as CSV writers spell them, JSON floats or not."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    wide = st.sampled_from([2**53, 2**63, 2**64, 2**64 + 2048]).flatmap(
+        lambda m: st.integers(-m - 3000, m + 3000))
+    return st.one_of(
+        json_float_texts(),
+        json_float_texts().map("+{}".format),
+        finite.flatmap(lambda x: st.sampled_from(["%.17g" % x, "%.40g" % x])),
+        st.sampled_from(["-0", "0", "01", "1.", ".5"]),
+        wide.map(str),
+    )
+
+
+JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def plain_number(text):
+    """A text the orjson tier must take: a JSON number within the double
+    range, not ending in ``-0`` (the integer, or an exponent the tier
+    takes for it)."""
+    return bool(JSON_NUMBER.fullmatch(text)) and not text.endswith("-0") and (
+        math.isfinite(float(text)))
+
+
+def table_rows(texts):
+    return st.lists(st.tuples(texts, texts, texts), min_size=1, max_size=20)
+
+
+def refuse(*args):
+    raise AssertionError("a plain numeric table left the orjson tier")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(table_rows(json_float_texts()), table_rows(csv_number_texts())),
+       st.lists(st.sampled_from(["\n", "\r\n"]), min_size=21, max_size=21),
+       st.booleans(), st.integers(1, 64))
+def test_chunk_edges_anywhere_parse_as_row_reader(tmp_path_factory, rows, ends, final, chunk):
+    text = "actual,note,predicted" + "".join(
+        end + ",".join(row) for end, row in zip(ends, rows)) + (ends[-1] if final else "")
+    path = write(tmp_path_factory.mktemp("chunks"), "in.csv", text)
+    want = outcome(cli._read_rows, path, COLUMNS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        assert outcome(cli.read_columns_csv, path, COLUMNS) == want
+        if all(plain_number(t) for row in rows for t in row):
+            patch.setattr(cli, "_parse_body", refuse)
+            patch.setattr(cli, "_read_rows", refuse)
+            assert outcome(cli.read_columns_csv, path, COLUMNS) == want
+
+
+def float_table_csv(directory, rows, seed):
+    """A 3-column CSV of ``repr``-spelled floats, as ``perfbench`` writes them."""
+    table = np.random.default_rng(seed).lognormal(3, 1, size=(rows, 3))
+    lines = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    return table, write(directory, "in.csv", "actual,predicted,benchmark\n" + lines)
+
+
+def test_plain_float_table_never_leaves_the_orjson_tier(tmp_path, monkeypatch):
+    table, path = float_table_csv(tmp_path, 2000, seed=5)
+    monkeypatch.setattr(cli, "_parse_body", refuse)
+    monkeypatch.setattr(cli, "_read_rows", refuse)
+    data = cli.read_columns_csv(path, ["benchmark", "actual"])
+    assert data["actual"].tobytes() == table[:, 0].tobytes()
+    assert data["benchmark"].tobytes() == table[:, 2].tobytes()
+
+
+def ingest_peak(path, columns):
+    """tracemalloc's peak over one read."""
+    tracemalloc.start()
+    try:
+        cli.read_columns_csv(path, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orjson_tier_allocates_no_more_than_loadtxt(tmp_path, monkeypatch):
+    _, path = float_table_csv(tmp_path, 20_000, seed=7)
+    columns = ["actual", "predicted", "benchmark"]
+    ingest_peak(path, columns)  # imports and caches settle before measuring
+    tier = ingest_peak(path, columns)
+    monkeypatch.setattr(cli, "_table_columns", lambda *args: None)
+    loadtxt = ingest_peak(path, columns)
+    assert tier <= 1.10 * loadtxt, (tier, loadtxt)
 
 
 # --- JSON --------------------------------------------------------------------
