@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import functools
 import json
 import re
 import sys
@@ -337,10 +338,13 @@ def ingest(
     reader = read_columns_json if input_format == "json" else read_columns_csv
     data = reader(path, columns)
     pair = validate_series_pair(data[actual_col], data[predicted_col])
-    bench = None
-    if benchmark_col:
-        bench = validate_series_pair(data[actual_col], data[benchmark_col])
-    return pair, bench
+    if not benchmark_col:
+        return pair, None
+    # the columns the pair has copied are freed before the benchmark
+    # column is copied, and the benchmark pair shares the pair's actuals
+    benchmark = data[benchmark_col]
+    del data
+    return pair, pair.with_predicted(benchmark)
 
 
 def load_series(path: str, column: str) -> np.ndarray:
@@ -952,9 +956,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (MetricError, OSError) as exc:

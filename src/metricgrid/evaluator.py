@@ -22,6 +22,14 @@ touches a point or a check has failed.  ``normalize`` divides every point
 alike, then applies the policy to the degenerate points alone; it reports
 a base that is not a finite number first, then a zero denominator, then
 every point skipped, and a squared base beyond range last.
+
+``SeriesPair`` validation keeps the smallest and largest value of each
+series.  A stage skips a screen of its values (the overflow scan of the
+error distances, the range check of the log quotients, and per normalizer
+block the base's extremes, its near-zero points and the overflow of its
+square) only where interval arithmetic on those extremes proves the
+screen would find nothing (``_proven``).  Where it cannot, the screen
+runs as before, so the errors raised and their order are unchanged.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from .types import (
     Dimension,
     Distance,
     EvaluationPolicy,
+    Extremes,
     FAIL_FAST,
     LogRatioPolicy,
     MetricComposition,
@@ -103,15 +112,18 @@ def point_distances(
                 np.abs(d, out=d)
             elif kind is Distance.SQUARED_ERROR:
                 np.square(d, out=d)
-        if not -math.inf < d.min() <= d.max() < math.inf:
+        proven = _proven(*_difference_bounds(pair.extremes), square=kind is Distance.SQUARED_ERROR)
+        if not proven and not -math.inf < d.min() <= d.max() < math.inf:
             raise DistanceOverflow(int(np.argmin(np.isfinite(d))))
         return PointVector(d, pair.all_points)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         ratio = p / a
-    # every quotient positive, and none overflowed or underflowed (a NaN
-    # from 0/0 fails both tests)
-    if ratio.min() >= _SMALLEST_NORMAL and ratio.max() < np.inf:
+    # every quotient positive, and none overflowed or underflowed: proven
+    # from the extremes, else screened (a NaN from 0/0 fails both tests)
+    bounds = _ratio_bounds(pair.extremes)
+    proven = bounds is not None and _proven(*bounds, floor=_SMALLEST_NORMAL)
+    if proven or ratio.min() >= _SMALLEST_NORMAL and ratio.max() < np.inf:
         usable, actions = pair.all_points, NO_ACTIONS
         values = np.log(ratio, out=ratio)
     else:
@@ -137,6 +149,62 @@ def point_distances(
     return PointVector(values, usable, actions)
 
 
+def _proven(lo: float, hi: float, *, floor: float = -math.inf, square: bool = False) -> bool:
+    """Whether a screen of values known to lie within [lo, hi] would find
+    nothing: every value there is finite, at least ``floor`` in magnitude
+    (no test when it is -inf) and, with ``square``, has a finite square.
+
+    The bounds are worked out from a pair's extremes by the same float
+    operation that builds each point's value.  Rounding is monotone, so
+    they bound every point's value exactly, and a screen skipped because
+    of them would have found nothing."""
+    if not -math.inf < lo <= hi < math.inf:
+        return False
+    if not (lo >= floor or hi <= -floor):
+        return False
+    return not square or max(-lo, hi) * max(-lo, hi) < math.inf
+
+
+def _difference_bounds(e: Extremes) -> tuple[float, float]:
+    """Bounds of A - P."""
+    return e.a_lo - e.p_hi, e.a_hi - e.p_lo
+
+
+def _ratio_bounds(e: Extremes) -> tuple[float, float] | None:
+    """Bounds of P / A when A and P are of one strict sign, else None."""
+    if e.a_lo > 0 and e.p_lo > 0:
+        return e.p_lo / e.a_hi, e.p_hi / e.a_lo
+    if e.a_hi < 0 and e.p_hi < 0:
+        return e.p_hi / e.a_lo, e.p_lo / e.a_hi
+    return None
+
+
+def _magnitudes(lo: float, hi: float) -> tuple[float, float]:
+    """Bounds of |x| for x within [lo, hi]."""
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def _base_bounds(e: Extremes, spec: NormalizerSpec, center: float) -> tuple[float, float]:
+    """Bounds of the normalizer base before its exponent, from the pair's
+    extremes (see ``_normalizer_base``)."""
+    kind = spec.kind
+    if kind is NormKind.BY_SUM:
+        if spec.absolute:
+            (a_lo, a_hi), (p_lo, p_hi) = _magnitudes(e.a_lo, e.a_hi), _magnitudes(e.p_lo, e.p_hi)
+            return a_lo + p_lo, a_hi + p_hi
+        return e.a_lo + e.p_lo, e.a_hi + e.p_hi
+    if kind is NormKind.BY_MAX:
+        return max(e.a_lo, e.p_lo), max(e.a_hi, e.p_hi)
+    if kind is NormKind.BY_MIN:
+        return min(e.a_lo, e.p_lo), min(e.a_hi, e.p_hi)
+    lo, hi = (e.a_lo - center, e.a_hi - center) if kind is NormKind.BY_VARIABILITY else (e.a_lo, e.a_hi)
+    return _magnitudes(lo, hi) if spec.absolute else (lo, hi)
+
+
 def _normalizer_base(
     pair: SeriesPair, spec: NormalizerSpec, center: float, part: slice | np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
@@ -145,23 +213,24 @@ def _normalizer_base(
     read-only view for a slice), otherwise written into ``out``.
     ``center`` is the mean of all the actuals, the BY_VARIABILITY centre.
     The sums and the mean may leave the floating-point range:
-    ``_extremes`` refuses such a base."""
+    ``_extremes`` refuses such a base.  The caller ignores overflow."""
     a, p = pair.actuals[part], pair.predicted[part]
+    e = pair.extremes
     if spec.kind is NormKind.BY_ACTUALS:
-        return np.abs(a, out=out) if spec.absolute else a
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is NormKind.BY_VARIABILITY:
-            dev = np.subtract(a, center, out=out)
-            return np.abs(dev, out=dev) if spec.absolute else dev
-        if spec.kind is NormKind.BY_SUM:
-            if not spec.absolute:
-                return np.add(a, p, out=out)
-            # absolute variant sums magnitudes, it is not |A + P|; |P| - A
-            # is |P| + |A| exactly where A is negative, with no second array
-            base = np.abs(p, out=out)
-            negative = np.signbit(a)
-            np.subtract(base, a, out=base, where=negative)
-            return np.add(base, a, out=base, where=~negative)
+        # |A| is A itself when every actual is positive (-0.0 is not)
+        return np.abs(a, out=out) if spec.absolute and not e.a_lo > 0 else a
+    if spec.kind is NormKind.BY_VARIABILITY:
+        dev = np.subtract(a, center, out=out)
+        return np.abs(dev, out=dev) if spec.absolute else dev
+    if spec.kind is NormKind.BY_SUM:
+        if not spec.absolute or e.a_lo > 0 and e.p_lo > 0:
+            return np.add(a, p, out=out)
+        # absolute variant sums magnitudes, it is not |A + P|; |P| - A
+        # is |P| + |A| exactly where A is negative, with no second array
+        base = np.abs(p, out=out)
+        negative = np.signbit(a)
+        np.subtract(base, a, out=base, where=negative)
+        return np.add(base, a, out=base, where=~negative)
     if spec.kind is NormKind.BY_MAX:
         return np.maximum(a, p, out=out)
     if spec.kind is NormKind.BY_MIN:
@@ -192,12 +261,10 @@ def _near_zero(base: np.ndarray, usable: np.ndarray, lo: float, hi: float) -> np
     return degenerate if degenerate.any() else None
 
 
-def _squared(base: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """``base`` squared into ``out``, and the first position whose square is
-    beyond the floating-point range (None when there is none)."""
-    with np.errstate(over="ignore"):
-        squares = np.square(base, out=out)
-    return squares, int(np.argmax(squares == np.inf)) if squares.max() == np.inf else None
+def _first_inf(squares: np.ndarray) -> int | None:
+    """The first position of a square beyond the floating-point range, or
+    None when there is none."""
+    return int(np.argmax(squares == np.inf)) if squares.max() == np.inf else None
 
 
 def _scaled(
@@ -207,11 +274,11 @@ def _scaled(
 
     A quotient or product beyond the floating-point range is left as inf
     for ``aggregate`` to refuse, and a quotient by a zero base as inf or
-    NaN for ``normalize``'s policy step to replace."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if factor != 1.0:
-            values = np.multiply(values, factor, out=out)
-        op(values, other, out=out)
+    NaN for ``normalize``'s policy step to replace; the caller ignores
+    those floating-point errors."""
+    if factor != 1.0:
+        values = np.multiply(values, factor, out=out)
+    op(values, other, out=out)
 
 
 def _into(points: PointVector, out: np.ndarray | None) -> PointVector:
@@ -251,11 +318,25 @@ def normalize(
     """
     if spec.kind is NormKind.UNITARY:
         return _into(points, out)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _normalize(points, pair, spec, policy, out)
+
+
+def _normalize(
+    points: PointVector,
+    pair: SeriesPair,
+    spec: NormalizerSpec,
+    policy: EvaluationPolicy,
+    out: np.ndarray | None,
+) -> PointVector:
+    """``normalize`` for a base other than UNITARY, with floating-point
+    errors ignored.  Where the pair's extremes prove that the base is
+    finite and clear of zero, and its square finite, the blocks are only
+    built and divided: no screen of them could find anything."""
     n = points.n
-    center = 0.0
-    if spec.kind is NormKind.BY_VARIABILITY:
-        with np.errstate(over="ignore"):
-            center = pair.actuals.mean()
+    center = float(pair.actuals.mean()) if spec.kind is NormKind.BY_VARIABILITY else 0.0
+    proven = _proven(*_base_bounds(pair.extremes, spec, center),
+                     floor=-math.inf if spec.exponent == -1 else NEAR_ZERO, square=spec.exponent == 2)
     if out is None:
         out = np.empty(n)
     buf = np.empty(min(n, _BLOCK))
@@ -267,15 +348,17 @@ def normalize(
     for start in range(0, n, _BLOCK):
         part = slice(start, min(start + _BLOCK, n))
         base = _normalizer_base(pair, spec, center, part, buf[:part.stop - start])
-        lo, hi = _extremes(base, start)
         values = points.values[part]
-        degenerate = None if spec.exponent == -1 else _near_zero(base, points.usable[part], lo, hi)
-        if degenerate is not None:
-            at = np.flatnonzero(degenerate)  # an index array gathers faster than a mask
-            hits.append(at + start)
-            numerators.append(values[at])
+        if not proven:
+            lo, hi = _extremes(base, start)
+            degenerate = None if spec.exponent == -1 else _near_zero(base, points.usable[part], lo, hi)
+            if degenerate is not None:
+                at = np.flatnonzero(degenerate)  # an index array gathers faster than a mask
+                hits.append(at + start)
+                numerators.append(values[at])
         if spec.exponent == 2:
-            base, first = _squared(base, buf[:base.size])
+            base = np.square(base, out=buf[:base.size])
+            first = None if proven else _first_inf(base)
             if first is not None:
                 overflows.append(start + first)
         _scaled(op, values, spec.factor, base, out[part])
@@ -303,7 +386,8 @@ def normalize(
             if still.any():
                 raise ZeroDenominator(int(degenerate[np.argmax(still)]))
             if spec.exponent == 2:
-                base, first = _squared(base, base)
+                base = np.square(base, out=base)
+                first = _first_inf(base)
                 if first is not None:
                     overflows.append(int(degenerate[first]))
             corrected = np.concatenate(numerators)
@@ -312,7 +396,7 @@ def normalize(
             actions = actions.with_run(EPSILON_CORRECTED, degenerate)
     if overflows:
         raise NormalizerOverflow(min(overflows))
-    if spec.exponent != -1 and not points.usable.all():
+    if spec.exponent != -1 and not points.clean:
         out[~points.usable] = 0.0 * spec.factor
     return PointVector(out, usable, actions)
 

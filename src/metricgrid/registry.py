@@ -642,14 +642,15 @@ def evaluate_recipe(
     base = lookup(recipe.base)
     stat = recipe.statistic
     if stat.of is None:
-        if not np.array_equal(pair.actuals, benchmark.actuals):
+        if benchmark.actuals is not pair.actuals and not np.array_equal(pair.actuals, benchmark.actuals):
             raise BenchmarkMismatch()
         den = evaluate(benchmark, base.composition, policy).value
     else:
-        series = np.asarray(in_sample if stat.requires else pair.actuals, dtype=float)
+        # the pair's actuals are finite: SeriesPair validated them
+        series = np.asarray(in_sample, dtype=float) if stat.requires else pair.actuals
         if series.ndim != 1 or series.size < stat.min_points:
             raise InsufficientData(stat.too_few)
-        if not np.isfinite(series).all():
+        if stat.requires and not np.isfinite(series).all():
             raise ValidationError(f"{stat.requires} contains non-finite values")
         with np.errstate(over="ignore", invalid="ignore"):
             den = float(stat.of(series))

@@ -10,12 +10,12 @@ instance you can obtain satisfies its invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,12 +260,44 @@ def _as_series(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_range(arr: np.ndarray, name: str) -> tuple[float, float]:
+    """Smallest and largest value of a nonempty series.  A NaN or an
+    infinity shows in one of them, so the index of the first value that is
+    not finite is searched for only then, and named by NonFiniteValue."""
+    lo, hi = float(arr.min()), float(arr.max())
+    if not -math.inf < lo <= hi < math.inf:
+        raise NonFiniteValue(name, int(np.argmin(np.isfinite(arr))))
+    return lo, hi
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+class Extremes(NamedTuple):
+    """Smallest and largest value of each series of a pair."""
+
+    a_lo: float
+    a_hi: float
+    p_lo: float
+    p_hi: float
+
+
 @dataclass(frozen=True, eq=False)
 class SeriesPair:
-    """Aligned actual and predicted series; validated on construction."""
+    """Aligned actual and predicted series; validated on construction.
+
+    ``extremes`` holds the smallest and largest value of each series,
+    found by the validation pass, so later stages can bound what they
+    compute without scanning the series again.
+    """
 
     actuals: np.ndarray
     predicted: np.ndarray
+    extremes: Extremes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = _as_series(self.actuals, "actuals")
@@ -274,16 +306,10 @@ class SeriesPair:
             raise LengthMismatch(a.size, p.size)
         if a.size == 0:
             raise EmptySeries()
-        for name, arr in (("actuals", a), ("predicted", p)):
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise NonFiniteValue(name, int(np.argmax(bad)))
-        a = a.copy()
-        p = p.copy()
-        a.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "actuals", a)
-        object.__setattr__(self, "predicted", p)
+        extremes = Extremes(*_finite_range(a, "actuals"), *_finite_range(p, "predicted"))
+        object.__setattr__(self, "actuals", _frozen(a))
+        object.__setattr__(self, "predicted", _frozen(p))
+        object.__setattr__(self, "extremes", extremes)
 
     @property
     def n(self) -> int:
@@ -303,6 +329,19 @@ class SeriesPair:
     def scaled(self, k: float) -> "SeriesPair":
         """Both series multiplied by a constant."""
         return SeriesPair(self.actuals * k, self.predicted * k)
+
+    def with_predicted(self, predicted: Sequence[float] | np.ndarray) -> "SeriesPair":
+        """Pair of these same actuals (shared, not copied) with other
+        predictions, which alone are validated and copied."""
+        p = _as_series(predicted, "predicted")
+        if p.size != self.n:
+            raise LengthMismatch(self.n, p.size)
+        p_lo, p_hi = _finite_range(p, "predicted")
+        pair = object.__new__(SeriesPair)
+        object.__setattr__(pair, "actuals", self.actuals)
+        object.__setattr__(pair, "predicted", _frozen(p))
+        object.__setattr__(pair, "extremes", self.extremes._replace(p_lo=p_lo, p_hi=p_hi))
+        return pair
 
 
 def validate_series_pair(
@@ -411,8 +450,10 @@ class PointVector:
     def n(self) -> int:
         return int(self.values.size)
 
-    @property
+    @cached_property
     def n_usable(self) -> int:
+        """Usable points, counted once per vector: ``usable`` is not
+        changed in place once the vector is built."""
         return int(np.count_nonzero(self.usable))
 
     @property
@@ -490,12 +531,8 @@ class BenchmarkInput:
             arr = _as_series(self.in_sample, "in_sample")
             if arr.size < 2:
                 raise InsufficientData("in-sample history needs at least 2 points")
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise NonFiniteValue("in_sample", int(np.argmax(bad)))
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, "in_sample", arr)
+            _finite_range(arr, "in_sample")
+            object.__setattr__(self, "in_sample", _frozen(arr))
 
 
 def smallest_nonzero_actual(actuals: np.ndarray) -> float:

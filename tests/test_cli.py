@@ -901,3 +901,32 @@ class TestErrorBranches:
         lines = out.splitlines()
         assert lines[1].split()[:3] == ["MAPE", "ERROR", "ZeroDenominator"]
         assert lines[1].endswith("normalization denominator is zero or near zero at index 0")
+
+
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, capsys, demo_csv, monkeypatch):
+        built, original = [], cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "eval", "--input", demo_csv, "--metrics", "MAE")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert original() is not original()
+
+    def test_repeated_options_do_not_carry_over(self, capsys, demo_csv):
+        code, first, _ = run_json(capsys, "eval", "--input", demo_csv, "--metrics", "sMAPE",
+                                  "--composition", "distance=D3 aggregator=G1",
+                                  "--variant", "sMAPE=absolute")
+        assert code == 0 and len(first["metrics"]) == 2
+        assert first["metrics"][0]["variant"] == "absolute"
+        code, second, _ = run_json(capsys, "eval", "--input", demo_csv, "--metrics", "sMAPE")
+        assert code == 0 and [e["name"] for e in second["metrics"]] == ["sMAPE"]
+        assert "variant" not in second["metrics"][0]

@@ -296,6 +296,32 @@ def test_orjson_tier_allocates_no_more_than_loadtxt(tmp_path, monkeypatch):
     assert tier <= 1.10 * loadtxt, (tier, loadtxt)
 
 
+def test_benchmark_pair_shares_the_checked_actuals(tmp_path):
+    table, path = float_table_csv(tmp_path, 50, seed=8)
+    pair, bench = cli.ingest(path, None, "actual", "predicted", "benchmark")
+    assert bench.actuals is pair.actuals
+    assert bench.predicted.tobytes() == table[:, 2].tobytes()
+    # an array that is the actuals themselves is the pair's actuals
+    same, _ = cli.ingest(path, None, "actual", "actual", "benchmark")
+    assert same.predicted.tobytes() == same.actuals.tobytes()
+
+
+def test_ingest_copies_each_column_once(tmp_path):
+    # the three columns read, then the pair's two checked copies: five
+    # columns at the peak.  A second copy of the actuals for the benchmark
+    # pair, made while the read columns are alive, took it to seven.
+    rows = 20_000
+    _, path = float_table_csv(tmp_path, rows, seed=9)
+    cli.ingest(path, None, "actual", "predicted", "benchmark")  # imports and caches settle
+    tracemalloc.start()
+    try:
+        cli.ingest(path, None, "actual", "predicted", "benchmark")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * rows, peak / (8 * rows)
+
+
 # --- JSON --------------------------------------------------------------------
 
 JSON_ARRAYS = {

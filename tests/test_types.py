@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from metricgrid.errors import (
     NonFiniteValue,
     ValidationError,
 )
-from metricgrid.types import smallest_nonzero_actual
+from metricgrid.types import Extremes, smallest_nonzero_actual
 
 
 class TestSeriesPair:
@@ -80,6 +81,34 @@ class TestSeriesPair:
         assert np.array_equal(pair.swapped().actuals, pair.predicted)
         assert np.array_equal(pair.scaled(2.0).actuals, [2, 4])
 
+    def test_pair_keeps_the_extremes_of_each_series(self):
+        pair = validate_series_pair([3.0, -0.0, 7.5], [1e300, 2.0, -5e-324])
+        assert pair.extremes == Extremes(-0.0, 7.5, -5e-324, 1e300)
+        assert all(type(x) is float for x in pair.extremes)
+        with pytest.raises(AttributeError):
+            pair.extremes = Extremes(0.0, 0.0, 0.0, 0.0)
+
+    def test_derived_pairs_have_their_own_extremes(self):
+        pair = validate_series_pair([1, 2], [3, 5])
+        assert pair.swapped().extremes == Extremes(3.0, 5.0, 1.0, 2.0)
+        assert pair.scaled(-2.0).extremes == Extremes(-4.0, -2.0, -10.0, -6.0)
+
+    def test_with_predicted_shares_the_actuals(self):
+        pair = validate_series_pair([1, 2, 4], [3, 5, 6])
+        src = np.array([0.5, 9.0, -1.0])
+        bench = pair.with_predicted(src)
+        assert bench.actuals is pair.actuals
+        assert bench.extremes == Extremes(1.0, 4.0, -1.0, 9.0)
+        src[0] = 99.0
+        assert bench.predicted[0] == 0.5 and not bench.predicted.flags.writeable
+        with pytest.raises(LengthMismatch):
+            pair.with_predicted([1.0, 2.0])
+        with pytest.raises(ValidationError):
+            pair.with_predicted([[1.0, 2.0, 3.0]])
+        with pytest.raises(NonFiniteValue) as exc:
+            pair.with_predicted([1.0, float("inf"), float("nan")])
+        assert (exc.value.series, exc.value.index) == ("predicted", 1)
+
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=8),
         st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=8),
@@ -100,6 +129,45 @@ class TestSeriesPair:
             assert any(not np.isfinite(v) for v in values)
         else:
             assert np.isfinite(pair.actuals).all()
+
+
+class TestNonFiniteValue:
+    """Validation finds a value that is not finite from the series'
+    extremes, then names the first such index; no NumPy warning leaks."""
+
+    @staticmethod
+    def refused(actuals, predicted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                validate_series_pair(actuals, predicted)
+        return exc.value.series, exc.value.index
+
+    @pytest.mark.parametrize("first,second", [(float("nan"), float("inf")), (float("inf"), float("nan"))])
+    def test_nan_and_inf_in_one_series_name_the_first(self, first, second):
+        a = [1.0, 2.0, first, 4.0, second, 6.0]
+        assert self.refused(a, [1.0] * 6) == ("actuals", 2)
+        assert self.refused([1.0] * 6, a) == ("predicted", 2)
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_nan_at_either_end(self, index):
+        a = [1.0] * 5
+        a[index] = float("nan")
+        assert self.refused(a, [2.0] * 5) == ("actuals", index)
+        assert self.refused([2.0] * 5, a) == ("predicted", index)
+
+    def test_negative_infinity(self):
+        assert self.refused([1.0, 2.0, 3.0], [0.0, -float("inf"), -1e308]) == ("predicted", 1)
+
+    def test_actuals_are_checked_before_predictions(self):
+        assert self.refused([1.0, float("nan")], [float("inf"), 1.0]) == ("actuals", 1)
+
+    def test_in_sample_names_the_first_index(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                BenchmarkInput(in_sample=np.array([1.0, 2.0, -float("inf"), float("nan")]))
+        assert (exc.value.series, exc.value.index) == ("in_sample", 2)
 
 
 class TestNormalizerSpec:
