@@ -123,9 +123,10 @@ def _csv_header(reader, path: str, columns: Sequence[str]) -> list[str]:
     return header
 
 
-# Bytes a plain numeric table is made of: JSON's number characters, the
-# comma, the line ends and the two blanks that both readers ignore.
-_TABLE_BYTES = b"0123456789+-.eE,\n\r \t"
+# Bytes of a number or a blank: JSON's number characters and the two
+# blanks that both readers ignore.  The skeleton of a piece is what is
+# left of it without them.
+_NUMBER_BYTES = b"0123456789+-.eE \t"
 
 # orjson reads the integer -0 as 0, where float() gives -0.0.  This also
 # matches an exponent of -0 ("1e-0"), which only costs that file the tier.
@@ -138,49 +139,55 @@ _CHUNK = 1 << 15
 
 def _line_chunks(fh, size: int):
     """The rest of a binary file in pieces of about ``size`` bytes, each
-    ending at a newline except, if the file does not, the last."""
-    rest = b""
+    ending at a newline except, if the file does not, the last.  Only the
+    block just read is searched, and blocks without a newline are held
+    until one comes, so a long line is copied once, not once per block,
+    and its blocks are let go before its piece is yielded."""
+    held: list[bytes] = []
     while block := fh.read(size):
-        rest += block
-        cut = rest.rfind(b"\n") + 1
+        cut = block.rfind(b"\n") + 1
         if cut:
-            yield rest[:cut]
-            rest = rest[cut:]
-    if rest:
-        yield rest
+            held.append(block[:cut])
+            piece, held = b"".join(held), [block[cut:]]
+            yield piece
+        else:
+            held.append(block)
+    piece = b"".join(held)
+    del held
+    if piece:
+        yield piece
 
 
 def _table_piece(piece: bytes, width: int) -> np.ndarray | None:
     """The rows of one piece as a float table, or None where it may not be
     a plain numeric table.
 
-    It is one when every byte is in ``_TABLE_BYTES``, every CR ends a CRLF,
-    every line holds ``width - 1`` commas, its lines joined by commas form
-    a JSON array of rows x ``width`` numbers, and no number is the integer
-    ``-0``.  Each JSON number is then also a ``float()`` literal, and
+    Once each CRLF is made an LF, the piece's skeleton must be ``width - 1``
+    commas and an LF per line, the last line's LF only if the piece has
+    one.  That one comparison proves that every byte is a number byte, a
+    blank, a comma or a line end, that every CR ended a CRLF, and that
+    every line holds ``width - 1`` commas.  The lines joined by commas must
+    then form a JSON array of rows x ``width`` numbers, none of them the
+    integer ``-0``.  Each JSON number is also a ``float()`` literal, and
     orjson reads it to the same double, or to an int that converts to it.
     """
-    if piece.translate(None, _TABLE_BYTES) or (
-        b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n")
-    ):
-        return None
-    lines = piece.removesuffix(b"\n")
-    codes = np.frombuffer(lines, dtype=np.uint8)
-    commas = np.flatnonzero(codes == ord(","))
-    newlines = np.flatnonzero(codes == ord("\n"))
-    rows = len(newlines) + 1
-    # line i (from 1) ends after exactly i * (width - 1) commas
-    if len(commas) != rows * (width - 1) or not np.array_equal(
-        np.searchsorted(commas, newlines), np.arange(1, rows) * (width - 1)
-    ):
+    # CRLF first: once blanks are deleted, "\r \n" would pass for one
+    if b"\r" in piece:
+        piece = piece.replace(b"\r\n", b"\n")
+    skeleton = piece.translate(None, _NUMBER_BYTES)
+    if not piece.endswith(b"\n"):
+        skeleton += b"\n"
+    rows = len(skeleton) // width
+    if skeleton != (b"," * (width - 1) + b"\n") * rows:
         return None
     try:
-        values = orjson.loads(b"[" + lines.replace(b"\n", b",") + b"]")
+        values = orjson.loads(b"[" + piece.removesuffix(b"\n").replace(b"\n", b",") + b"]")
     except orjson.JSONDecodeError:
         return None
-    if len(values) != rows * width or _INT_MINUS_ZERO.search(lines):
+    # the regex can only match at a "-", which one memchr rules out
+    if len(values) != rows * width or b"-" in piece and _INT_MINUS_ZERO.search(piece):
         return None
-    return np.array(values, dtype=float).reshape(-1, width)
+    return np.fromiter(values, float, len(values)).reshape(-1, width)
 
 
 def _table_columns(
@@ -223,10 +230,13 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     hands a file it may misread to the next.  A plain table (an ASCII
     header with no quote, then rows of exactly the header's width holding
     only numbers JSON also accepts, LF or CRLF line ends, no blank lines)
-    is parsed by orjson in pieces (``_table_columns``).  Any other body is
-    parsed in one NumPy call (``_parse_body``): quoted fields, ``-0``,
-    ``nan``/``inf``, ``+1``, ``.5`` or ``01``, blank lines, CR-only line
-    ends, rows longer than the header.  A file NumPy rejects, or whose
+    is parsed by orjson in pieces (``_table_columns``); each piece's
+    skeleton, what is left once every CRLF is an LF and every number byte
+    and blank is deleted, must be ``len(header) - 1`` commas and an LF
+    per line (``_table_piece``).  Any other body is parsed in one NumPy
+    call (``_parse_body``): quoted fields, ``-0``, ``nan``/``inf``,
+    ``+1``, ``.5`` or ``01``, blank lines, CR-only line ends, rows longer
+    than the header.  A file NumPy rejects, or whose
     rows are shorter than the header, is read again row by row
     (``_read_rows``), which gives the line-numbered error.  A leading UTF-8
     byte-order mark is dropped; bytes that are not UTF-8 are a ParseError.

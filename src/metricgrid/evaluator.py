@@ -18,7 +18,9 @@ time, so a clean composition needs no other point-length float array.
 A clean vector, one where every point is usable, carries its pair's one
 read-only all-True mask (``SeriesPair.all_points``), so clean data is
 never masked, gathered or copied; masks are built only where the policy
-touches a point or a check has failed.  ``normalize`` divides every point
+touches a point or a check has failed.  A stage that keeps its input's
+mask carries its usable count over, so each mask is counted at most once
+and the all-True one never.  ``normalize`` divides every point
 alike, then applies the policy to the degenerate points alone; it reports
 a base that is not a finite number first, then a zero denominator, then
 every point skipped, and a squared base beyond range last.
@@ -115,7 +117,7 @@ def point_distances(
         proven = _proven(*_difference_bounds(pair.extremes), square=kind is Distance.SQUARED_ERROR)
         if not proven and not -math.inf < d.min() <= d.max() < math.inf:
             raise DistanceOverflow(int(np.argmin(np.isfinite(d))))
-        return PointVector(d, pair.all_points)
+        return PointVector.every_point(d, pair)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         ratio = p / a
@@ -146,6 +148,8 @@ def point_distances(
         values[spilled] = np.log(np.abs(p[spilled])) - np.log(np.abs(a[spilled]))
     if kind is Distance.ABS_LOG_QUOTIENT:
         np.abs(values, out=values)
+    if usable is pair.all_points:
+        return PointVector.every_point(values, pair)
     return PointVector(values, usable, actions)
 
 
@@ -287,7 +291,7 @@ def _into(points: PointVector, out: np.ndarray | None) -> PointVector:
     if out is None or out is points.values:
         return points
     np.copyto(out, points.values)
-    return PointVector(out, points.usable, points.actions)
+    return points.with_values(out)
 
 
 def normalize(
@@ -398,6 +402,8 @@ def _normalize(
         raise NormalizerOverflow(min(overflows))
     if spec.exponent != -1 and not points.clean:
         out[~points.usable] = 0.0 * spec.factor
+    if usable is points.usable:
+        return points.with_values(out, actions)
     return PointVector(out, usable, actions)
 
 
@@ -436,7 +442,7 @@ def apply_point_transform(
         sign = (p > a).view(np.int8)
         sign -= (p < a).view(np.int8)
         np.multiply(values, sign, out=values)
-    return PointVector(values, points.usable, points.actions)
+    return points.with_values(values)
 
 
 def aggregate(

@@ -450,11 +450,27 @@ class PointVector:
     def n(self) -> int:
         return int(self.values.size)
 
+    @classmethod
+    def every_point(cls, values: np.ndarray, pair: "SeriesPair") -> "PointVector":
+        """A clean vector of ``pair``'s points, under its shared all-True
+        mask: its usable count is the pair's length, not counted."""
+        points = cls(values, pair.all_points)
+        points.n_usable = pair.n
+        return points
+
     @cached_property
     def n_usable(self) -> int:
         """Usable points, counted once per vector: ``usable`` is not
         changed in place once the vector is built."""
         return int(np.count_nonzero(self.usable))
+
+    def with_values(self, values: np.ndarray, actions: ActionLog | None = None) -> "PointVector":
+        """``values`` under this vector's mask, and its actions unless
+        ``actions`` is given; the usable count, once known, carries over."""
+        points = PointVector(values, self.usable, self.actions if actions is None else actions)
+        if "n_usable" in self.__dict__:
+            points.n_usable = self.n_usable
+        return points
 
     @property
     def clean(self) -> bool:

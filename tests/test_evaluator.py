@@ -385,6 +385,48 @@ class TestEvaluate:
             assert evaluate(pair, comp).value == 0.0
 
 
+class TestUsableCount:
+    """A stage that keeps its input's mask carries its usable count over,
+    and a clean vector from ``point_distances`` has it from the pair, so
+    ``np.count_nonzero`` runs once per mask the policy builds and never on
+    clean data."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        sizes = []
+        count = np.count_nonzero
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return count(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counting)
+        return sizes
+
+    def test_clean_compositions_count_no_mask(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        pair = validate_series_pair(rng.uniform(1.0, 10.0, 1000), rng.uniform(1.0, 10.0, 1000))
+        sizes = self.counted(monkeypatch)
+        skipped = {label: evaluate(pair, comp).points_skipped for label, comp in catalog_compositions()}
+        assert sizes == []
+        assert set(skipped.values()) == {0}
+
+    @pytest.mark.parametrize("comp, skipped", [
+        # the log distances build the mask; normalize and the transform keep it
+        (MetricComposition(Distance.ABS_LOG_QUOTIENT, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True),
+                           transform=PointTransform.TIMES_PREDICTED), 2),
+        # normalize builds the mask from a clean distance vector
+        (MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True),
+                           transform=PointTransform.TIMES_PREDICTED), 1),
+    ], ids=["log-skip", "zero-skip"])
+    def test_a_built_mask_is_counted_once(self, monkeypatch, comp, skipped):
+        pair = validate_series_pair([0.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.5, 5.0])
+        policy = EvaluationPolicy(ZeroDenominatorPolicy.SKIP, LogRatioPolicy.SKIP)
+        sizes = self.counted(monkeypatch)
+        assert evaluate(pair, comp, policy).points_skipped == skipped
+        assert sizes == [4]
+
+
 class TestAllocation:
     """``evaluate`` computes in the one array ``point_distances`` allocates.
 

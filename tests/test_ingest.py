@@ -13,12 +13,14 @@ are parsed by orjson, and by ``json`` where orjson refuses a document;
 either way the numbers and the errors are the ones ``json`` alone gives.
 """
 
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import timeit
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -87,6 +89,12 @@ BODIES = {
     "upper-exponent": "actual,predicted\n1E5,1.5\n-2.5E-3,3E+0\n",
     "int-2**53+1": "actual,predicted\n9007199254740993,1.5\n",
     "int-2**64+1": "actual,predicted\n18446744073709551617,1.5\n",
+    # line ends and tokens at the edges of the orjson tier's checks
+    "lone-cr-between-fields": "actual,predicted\n1,\r2\n",
+    "cr-before-comma": "actual,predicted\n1\r,2\n3,4\n",
+    "minus-zero-after-piece-boundary": (
+        "actual,predicted\n" + "1.5,2.5\n" * (cli._CHUNK // 8) + "-0,1.5\n2.5,3.5\n"),
+    "negative-exponents": "actual,predicted\n-1.5e-05,-2.25\n-3e-05,4.5e-05\n-7,-0.5E-5\n",
 }
 
 # Bodies the orjson tier or the single NumPy call must serve without
@@ -96,7 +104,7 @@ FAST = [
     "spaces-and-tabs", "empty-lines", "longer-rows", "nan-inf",
     "overflowing-literal", "subnormal-and-zero", "header-padded",
     "duplicate-header", "single-row", "no-final-newline",
-    "minus-zero-float", "upper-exponent",
+    "minus-zero-float", "upper-exponent", "negative-exponents",
 ]
 
 
@@ -258,6 +266,76 @@ def test_chunk_edges_anywhere_parse_as_row_reader(tmp_path_factory, rows, ends, 
             patch.setattr(cli, "_parse_body", refuse)
             patch.setattr(cli, "_read_rows", refuse)
             assert outcome(cli.read_columns_csv, path, COLUMNS) == want
+
+
+TABLE_ALPHABET = "0123456789,.-+eE \t\r\nx"
+TABLE_TOKENS = ["0", "1", "25", "-0", "-1.5", "2.5e-05", "1E5", "-", "+", ".", "e",
+                ",", " ", "\t", "\r", "\n", "\r\n", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(TABLE_ALPHABET, max_size=80),
+                 st.lists(st.sampled_from(TABLE_TOKENS), max_size=60).map("".join)),
+       st.sampled_from(["\n", "\r\n", "\r", ""]), st.integers(1, 64))
+def test_any_body_of_table_bytes_reads_as_row_reader(tmp_path_factory, body, end, chunk):
+    # bodies of the bytes the orjson tier's checks are about, well formed or not
+    path = write(tmp_path_factory.mktemp("bodies"), "in.csv", "actual,predicted" + end + body)
+    want = outcome(cli._read_rows, path, COLUMNS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        assert outcome(cli.read_columns_csv, path, COLUMNS) == want
+
+
+@pytest.mark.parametrize("piece", [
+    b"1,2\r \n", b"1,2\r\t\n3,4\n", b"1,\r2\n", b"1\r,2\n", b"1,2\r\r\n", b"1,2\r", b"1,2\n\r",
+])
+def test_piece_with_a_cr_outside_a_crlf_is_refused(piece):
+    assert cli._table_piece(piece, 2) is None
+
+
+def test_minus_zero_body_starts_a_piece(tmp_path):
+    path = write(tmp_path, "in.csv", BODIES["minus-zero-after-piece-boundary"])
+    with open(path, "rb") as fh:
+        fh.readline()
+        pieces = list(cli._line_chunks(fh, cli._CHUNK))
+    assert len(pieces) == 2 and pieces[1].startswith(b"-0,")
+
+
+def test_negative_exponent_table_never_leaves_the_orjson_tier(tmp_path, monkeypatch):
+    # every piece holds a "-", so the -0 regex runs, and finds nothing
+    path = write(tmp_path, "in.csv", BODIES["negative-exponents"])
+    want = outcome(cli._read_rows, path, COLUMNS)
+    monkeypatch.setattr(cli, "_parse_body", refuse)
+    monkeypatch.setattr(cli, "_read_rows", refuse)
+    assert outcome(cli.read_columns_csv, path, COLUMNS) == want
+
+
+def test_line_chunks_time_is_linear_in_line_length():
+    # one 2 MiB line in 512 blocks: copying the held bytes again for each
+    # block would take ~90 times as long as the same body with LF ends
+    cr = b"1.5,2.5\r" * (1 << 18)
+    lf = cr.replace(b"\r", b"\n")
+
+    def seconds(body):
+        return min(timeit.repeat(
+            lambda: sum(map(len, cli._line_chunks(io.BytesIO(body), 1 << 12))), number=1, repeat=5))
+
+    assert sum(map(len, cli._line_chunks(io.BytesIO(cr), 1 << 12))) == len(cr)
+    assert seconds(cr) < 10 * seconds(lf)
+
+
+def test_long_line_is_held_once():
+    # a CR-only body reaches the tier as one piece, which it refuses; the
+    # blocks held for it must be gone by then, or three copies coexist
+    body = b"1.5,2.5\r" * (1 << 18)
+    tracemalloc.start()
+    try:
+        for piece in cli._line_chunks(io.BytesIO(body), 1 << 12):
+            assert cli._table_piece(piece, 2) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(body), peak / len(body)
 
 
 def float_table_csv(directory, rows, seed):
