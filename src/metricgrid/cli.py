@@ -5,12 +5,14 @@ prints the composition grid, ``list`` dumps the catalog and ``suites``
 shows the named metric bundles.  Exit codes: 0 all good, 1 at least one
 metric failed to evaluate, 2 the configuration or input could not be used
 at all.  Every named metric, from ``--metrics`` or a suite, passes
-``registry.check`` before any data is evaluated and is then evaluated by
-``derived.evaluate_metric``; only ad-hoc ``--composition`` descriptors go
-straight to the pipeline.  Every JSON output (the report, ``list --format
-json`` and ``suites --format json``) is one ``json.dumps`` call, ``_json``;
-every delimited one (``eval``, ``list`` and ``chart``) goes through
-``csv.writer``, so a field holding a comma is quoted.
+``registry.check`` before any data is evaluated.  Every selected entry
+then becomes a report entry through ``evaluate_selection``, which embeds
+its error: a named metric is evaluated by ``derived.evaluate_metric``, an
+ad-hoc ``--composition`` descriptor by the pipeline.  Every JSON output
+(the report, ``list --format json`` and ``suites --format json``) is one
+``json.dumps`` call, ``_json``; every delimited one (``eval``, ``list``
+and ``chart``) goes through ``csv.writer``, so a field holding a comma is
+quoted.
 
 An ``eval`` report lists at most ``ACTIONS_LISTED`` policy actions per
 metric, the first ones taken; an entry with more also carries
@@ -532,11 +534,19 @@ def evaluate_selection(
     benchmark: SeriesPair | None,
     in_sample: np.ndarray | None,
     policy: EvaluationPolicy,
+    composition: MetricComposition | None = None,
 ) -> dict:
-    """Evaluate one named metric into a report entry; errors are embedded."""
-    label = registry.lookup(name).abbreviation
+    """Evaluate one selected metric into a report entry; errors are embedded.
+
+    ``name`` is a catalog name, or the descriptor an ad-hoc
+    ``composition`` was parsed from, which labels its entry.
+    """
+    label = name if composition is not None else registry.lookup(name).abbreviation
     try:
-        result, rel = derived.evaluate_metric(pair, label, policy, variant, benchmark, in_sample)
+        if composition is None:
+            result, rel = derived.evaluate_metric(pair, label, policy, variant, benchmark, in_sample)
+        else:
+            result, rel = evaluate(pair, composition, policy), None
     except MetricError as exc:
         return _error_entry(label, variant, exc)
     detail = None
@@ -827,15 +837,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         have_benchmark=benchmark is not None, have_in_sample=in_sample is not None,
     )
 
-    entries = []
-    for label, variant, comp in plan:
-        if comp is None:
-            entries.append(evaluate_selection(pair, label, variant, benchmark, in_sample, policy))
-            continue
-        try:
-            entries.append(_metric_entry(label, evaluate(pair, comp, policy), None))
-        except MetricError as exc:
-            entries.append(_error_entry(label, None, exc))
+    entries = [evaluate_selection(pair, label, variant, benchmark, in_sample, policy, comp)
+               for label, variant, comp in plan]
     failed = any("error" in entry for entry in entries)
     for entry in entries:
         _cap_actions(entry)

@@ -3,9 +3,12 @@
 The whole-series normalizations (NRMSE family, NMSE) and the benchmark-
 and history-relative composites (RMAE, RelRMSE, LMR, RGRMSE, MASE, CoD)
 are ``registry.DerivedRecipe`` data; the functions here are named entry
-points to them, plus named metric suites.  ``evaluate_metric``, which
-suites and the command line call, is the one route from a catalog name to
-a value: ``registry.check``, then the recipe or ``registry.evaluate_named``.
+points to them, plus named metric suites.  ``evaluate_metric``, which the
+named entry points, suites and the command line call, is the one route
+from a catalog name to a value: one ``registry.check``, then the
+composition it passed through ``evaluate`` or the recipe through
+``registry.evaluate_recipe``.  Only ``relative_metric``, whose recipe is
+built from its arguments rather than named, evaluates a recipe itself.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import registry
 from .errors import MetricError, UnknownSuite, ValidationError
-from .evaluator import evaluate  # noqa: F401  (perfbench wraps and swaps derived.evaluate)
+from .evaluator import evaluate
 from .types import BenchmarkInput, EvaluationPolicy, FAIL_FAST, MetricResult, SeriesPair
 
 
@@ -35,7 +38,7 @@ def extended(
     defn = registry.lookup(name)
     if defn.category is not registry.Category.EXTENDED:
         raise ValidationError(f"{name!r} is not an extended whole-series metric")
-    return registry.evaluate_recipe(pair, defn.recipe, policy)[0]
+    return evaluate_metric(pair, defn.abbreviation, policy)[0]
 
 
 def mase(
@@ -49,7 +52,7 @@ def mase(
     change is the scale.  The evaluation window never contributes to the
     scale, so out-of-sample errors cannot shrink it.
     """
-    return registry.evaluate_recipe(pair, registry.lookup("MASE").recipe, policy, in_sample=in_sample)[0]
+    return evaluate_metric(pair, "MASE", policy, in_sample=in_sample)[0]
 
 
 def coefficient_of_determination(
@@ -57,7 +60,7 @@ def coefficient_of_determination(
     policy: EvaluationPolicy = FAIL_FAST,
 ) -> MetricResult:
     """1 - SSE / total sum of squares; 1 is perfect, 0 matches the mean."""
-    return registry.evaluate_recipe(pair, registry.lookup("CoD").recipe, policy)[0]
+    return evaluate_metric(pair, "CoD", policy)[0]
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def relative_named(
     defn = registry.lookup(name)
     if defn.requires != "benchmark":
         raise ValidationError(f"{name!r} is not a benchmark-relative metric")
-    return _relative(defn.recipe, registry.evaluate_recipe(pair, defn.recipe, policy, benchmark))
+    return evaluate_metric(pair, defn.abbreviation, policy, benchmark=benchmark)[1]
 
 
 def evaluate_metric(
@@ -140,11 +143,11 @@ def evaluate_metric(
     returned for benchmark-relative metrics and is None otherwise.
     """
     defn = registry.lookup(name)
-    registry.check(defn, variant, benchmark is not None, in_sample is not None)
-    if defn.recipe is None:
-        return registry.evaluate_named(pair, defn.abbreviation, policy, variant), None
-    outcome = registry.evaluate_recipe(pair, defn.recipe, policy, benchmark, in_sample)
-    rel = _relative(defn.recipe, outcome) if defn.requires == "benchmark" else None
+    spec = registry.check(defn, variant, benchmark is not None, in_sample is not None)
+    if spec.recipe is None:
+        return evaluate(pair, spec.composition, policy), None
+    outcome = registry.evaluate_recipe(pair, spec.recipe, policy, benchmark, in_sample)
+    rel = _relative(spec.recipe, outcome) if defn.requires == "benchmark" else None
     return outcome[0], rel
 
 

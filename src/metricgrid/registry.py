@@ -9,8 +9,9 @@ independent oracle the tests hold both to (``direct_formula``); no
 evaluation route runs them.  Variants are data on the definition.  Lookup
 is case-insensitive, knows the common alias names, and suggests near
 misses.  ``check`` holds every up-front configuration check for a named
-metric; ``evaluate_named`` evaluates primary metrics only, and
-``derived.evaluate_metric`` every catalog name.
+metric and returns the definition or variant it passed;
+``derived.evaluate_metric`` evaluates that for every catalog name, and
+``evaluate_named`` for primary metrics only.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ NAIVE_SCALE = Statistic("naive scale of the in-sample history",
                         "in-sample history needs at least 2 points", requires="in-sample history",
                         zero="in-sample history is constant: naive scale is zero")
 BENCHMARK_BASE = Statistic("benchmark {base}", None, requires="benchmark")
+
+# what the caller must supply for each ``Statistic.requires``
+_NEEDS = {"benchmark": "a benchmark prediction", "in-sample history": "an in-sample history"}
 
 
 @dataclass(frozen=True)
@@ -586,20 +590,23 @@ def check(
     variant: str | None = None,
     have_benchmark: bool = False,
     have_in_sample: bool = False,
-) -> None:
+) -> MetricDefinition | Variant:
     """Raise every configuration error for evaluating ``defn`` as ``variant``.
 
     A stub, an unknown variant and a missing benchmark or in-sample
-    history are all caught here, before any data is touched.
+    history are all caught here, before any data is touched.  Returns
+    what was checked, ``defn`` or its ``variant``: the composition or
+    recipe to evaluate is on it.
     """
     if not defn.implemented:
         raise UnimplementedMetric(defn.abbreviation, defn.stub_reason or "")
     if variant is not None and variant not in defn.variants:
         raise UnknownVariant(defn.abbreviation, variant, tuple(defn.variants))
     if defn.requires == "benchmark" and not have_benchmark:
-        raise MissingBenchmark(defn.abbreviation, "a benchmark prediction")
+        raise MissingBenchmark(defn.abbreviation, _NEEDS["benchmark"])
     if defn.requires == "in-sample history" and not have_in_sample:
-        raise MissingBenchmark(defn.abbreviation, "an in-sample history")
+        raise MissingBenchmark(defn.abbreviation, _NEEDS["in-sample history"])
+    return defn if variant is None else defn.variants[variant]
 
 
 def evaluate_named(
@@ -617,9 +624,7 @@ def evaluate_named(
     defn = lookup(name)
     if defn.implemented and defn.category is not Category.PRIMARY:
         raise RequiresBenchmark(defn.abbreviation, "more than the per-point pipeline")
-    check(defn, variant)
-
-    spec = defn if variant is None else defn.variants[variant]
+    spec = check(defn, variant)
     if spec.recipe is not None:
         return evaluate_recipe(pair, spec.recipe, policy)[0]
     return evaluate(pair, spec.composition, policy)
@@ -634,13 +639,17 @@ def evaluate_recipe(
 ) -> tuple[MetricResult, float, float]:
     """Evaluate a derived recipe: (result, base value on the pair, statistic).
 
-    The statistic comes first: too few points, a non-finite history, a
-    statistic beyond the floating-point range and a zero statistic all
-    raise before the base metric runs on the pair.  The result carries the
-    base run's point counts and policy records.
+    The statistic comes first: a missing benchmark or history, too few
+    points, a non-finite history, a statistic beyond the floating-point
+    range and a zero statistic all raise before the base metric runs on
+    the pair.  The result carries the base run's point counts and policy
+    records.
     """
     base = lookup(recipe.base)
     stat = recipe.statistic
+    if stat.requires and (benchmark if stat.of is None else in_sample) is None:
+        raise MissingBenchmark(f"{base.abbreviation} / {stat.name.format(base=base.abbreviation)}",
+                               _NEEDS[stat.requires])
     if stat.of is None:
         if benchmark.actuals is not pair.actuals and not np.array_equal(pair.actuals, benchmark.actuals):
             raise BenchmarkMismatch()

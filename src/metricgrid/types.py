@@ -132,23 +132,6 @@ class NormalizerSpec:
         if not (np.isfinite(self.factor) and self.factor != 0):
             raise ValidationError(f"numerator factor must be finite and nonzero, got {self.factor!r}")
 
-    def to_config(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "exponent": self.exponent,
-            "absolute": self.absolute,
-            "factor": self.factor,
-        }
-
-    @classmethod
-    def from_config(cls, data: dict[str, Any]) -> "NormalizerSpec":
-        return cls(
-            kind=NormKind(data["kind"]),
-            exponent=int(data.get("exponent", 1)),
-            absolute=bool(data.get("absolute", False)),
-            factor=float(data.get("factor", 1.0)),
-        )
-
 
 UNITARY = NormalizerSpec(NormKind.UNITARY)
 

@@ -40,3 +40,21 @@ def test_dependencies_are_declared():
 def test_every_import_is_stdlib_or_declared(path):
     allowed = set(sys.stdlib_module_names) | declared() | {"metricgrid"}
     assert imported(path) - allowed == set()
+
+
+def function_imports(path: Path) -> list[str]:
+    """``function:line`` for every import made inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}:{inner.lineno}" for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    # a lazy import would let a module reach one layered above it (say,
+    # registry reaching derived) without the cycle showing at import time
+    assert function_imports(path) == []

@@ -1,9 +1,11 @@
 """Every route to a named metric gives the same bits.
 
 For each implemented catalog name and variant, the ``metricgrid eval``
-report, ``derived.evaluate_metric``, a one-member ``evaluate_suite`` and,
-for primary metrics, ``registry.evaluate_named`` must agree bit for bit,
-or fail with the same error type.
+report, ``derived.evaluate_metric``, a one-member ``evaluate_suite``,
+for primary metrics ``registry.evaluate_named`` and for the others their
+named wrapper in ``derived`` must agree bit for bit, or fail with the same
+error type.  A missing benchmark or history is the same error on every
+route, and ``evaluate_metric`` checks a name's configuration once.
 """
 
 import json
@@ -11,8 +13,17 @@ import json
 import pytest
 
 from metricgrid import cli, registry
-from metricgrid.derived import SuiteDefinition, evaluate_metric, evaluate_suite
-from metricgrid.errors import MetricError
+from metricgrid.derived import (
+    SuiteDefinition,
+    coefficient_of_determination,
+    evaluate_metric,
+    evaluate_suite,
+    extended,
+    mase,
+    relative_metric,
+    relative_named,
+)
+from metricgrid.errors import MetricError, MissingBenchmark
 from metricgrid.types import (
     BenchmarkInput,
     EvaluationPolicy,
@@ -61,6 +72,18 @@ def outcome(call):
         return call().value.hex()
     except MetricError as exc:
         return type(exc).__name__
+
+
+def wrapper_call(defn, pair, bench, policy):
+    """The call of a non-primary metric's named wrapper in ``derived``."""
+    if defn.category is registry.Category.EXTENDED:
+        return lambda: extended(pair, defn.abbreviation, policy)
+    if defn.requires == "benchmark":
+        return lambda: relative_named(pair, bench, defn.abbreviation, policy)
+    return {
+        "CoD": lambda: coefficient_of_determination(pair, policy),
+        "MASE": lambda: mase(pair, HISTORY, policy),
+    }[defn.abbreviation]
 
 
 def cli_outcomes(tmp_path, data, flags):
@@ -114,6 +137,8 @@ def test_every_route_gives_the_same_bits(tmp_path, dataset, policy_name):
             got["evaluate_named"] = outcome(
                 lambda: registry.evaluate_named(pair, abbr, policy, variant)
             )
+        else:
+            got["wrapper"] = outcome(wrapper_call(defn, pair, bench, policy))
         mismatches += [(abbr, variant, route, value, want)
                        for route, value in got.items() if value != want]
     assert mismatches == []
@@ -123,3 +148,38 @@ def test_every_route_gives_the_same_bits(tmp_path, dataset, policy_name):
     else:
         assert any(v.isalpha() for v in from_cli.values())
         assert not all(v.isalpha() for v in from_cli.values())
+
+
+@pytest.mark.parametrize("abbr, variant", MEMBERS, ids=[member_label(*m) for m in MEMBERS])
+def test_evaluate_metric_checks_once(monkeypatch, abbr, variant):
+    data = DATASETS["clean"]
+    pair = SeriesPair(data["actual"], data["predicted"])
+    bench = SeriesPair(data["actual"], data["benchmark"])
+    checked = []
+    check = registry.check
+
+    def counted(*args, **kwargs):
+        checked.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "check", counted)
+    evaluate_metric(pair, abbr, EvaluationPolicy(), variant, bench, HISTORY)
+    assert len(checked) == 1
+
+
+PAIR = SeriesPair(DATASETS["clean"]["actual"], DATASETS["clean"]["predicted"])
+MISSING_INPUT = {
+    "relative_named": lambda: relative_named(PAIR, None, "RMAE"),
+    "relative_metric": lambda: relative_metric(PAIR, None),
+    "evaluate_recipe RMAE": lambda: registry.evaluate_recipe(PAIR, registry.lookup("RMAE").recipe),
+    "evaluate_metric RMAE": lambda: evaluate_metric(PAIR, "RMAE"),
+    "mase": lambda: mase(PAIR, None),
+    "evaluate_recipe MASE": lambda: registry.evaluate_recipe(PAIR, registry.lookup("MASE").recipe),
+    "evaluate_metric MASE": lambda: evaluate_metric(PAIR, "MASE"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(MISSING_INPUT))
+def test_a_missing_benchmark_or_history_is_the_same_error_on_every_route(route):
+    with pytest.raises(MissingBenchmark):
+        MISSING_INPUT[route]()
