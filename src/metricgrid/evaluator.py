@@ -23,7 +23,11 @@ mask carries its usable count over, so each mask is counted at most once
 and the all-True one never.  ``normalize`` divides every point
 alike, then applies the policy to the degenerate points alone; it reports
 a base that is not a finite number first, then a zero denominator, then
-every point skipped, and a squared base beyond range last.
+every point skipped, and a squared base beyond range last.  The points a
+policy touches are gathered and scattered by index array (``np.compress``
+for the usable values ``aggregate`` reduces), never by a point-length
+boolean mask, and the default epsilon is found once per pair
+(``SeriesPair.smallest_nonzero_actual``), not once per metric.
 
 ``SeriesPair`` validation keeps the smallest and largest value of each
 series.  A stage skips a screen of its values (the overflow scan of the
@@ -74,7 +78,6 @@ from .types import (
     PostTransform,
     SeriesPair,
     ZeroDenominatorPolicy,
-    smallest_nonzero_actual,
 )
 
 SKIP_LOG_RATIO = "skipped:nonpositive-log-ratio"
@@ -88,7 +91,10 @@ _SCALABLE = (AggKind.MEAN, AggKind.MEDIAN, AggKind.TRUNCATED_MEAN, AggKind.WINSO
 # points per block of the normalizer base (256 KiB of floats).  A base as
 # long as the points would be a second point-length array; freed together
 # with the distances, two such arrays can make the C allocator return their
-# memory to the system and fault it in again on the next call.
+# memory to the system and fault it in again on the next call.  The
+# geometric mean's ``_product`` uses the same blocks to decide how often to
+# check whether the running product has reached inf or 0; as each block
+# begins at the running product, any block size gives the same bits.
 _BLOCK = 1 << 15
 
 
@@ -129,7 +135,8 @@ def point_distances(
         usable, actions = pair.all_points, NO_ACTIONS
         values = np.log(ratio, out=ratio)
     else:
-        normal = (ratio >= _SMALLEST_NORMAL) & (ratio < np.inf)
+        # the quotients that are zero, subnormal, inf or NaN, by index
+        abnormal = np.flatnonzero(~((ratio >= _SMALLEST_NORMAL) & (ratio < np.inf)))
         # P/A is positive exactly when P and A are nonzero and of one sign
         usable = (a != 0) & (p != 0) & (np.signbit(a) == np.signbit(p))
         actions = NO_ACTIONS
@@ -141,10 +148,10 @@ def point_distances(
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
         else:
             actions = actions.with_run(SKIP_LOG_RATIO, np.flatnonzero(~usable))
-        ratio[~normal] = 1.0
+        ratio[abnormal] = 1.0
         values = np.log(ratio, out=ratio)
         # where the quotient over- or underflowed, the logs are taken apart
-        spilled = np.flatnonzero(usable & ~normal)
+        spilled = abnormal[usable[abnormal]]
         values[spilled] = np.log(np.abs(p[spilled])) - np.log(np.abs(a[spilled]))
     if kind is Distance.ABS_LOG_QUOTIENT:
         np.abs(values, out=values)
@@ -217,8 +224,9 @@ def _normalizer_base(
     read-only view for a slice), otherwise written into ``out``.
     ``center`` is the mean of all the actuals, the BY_VARIABILITY centre.
     The sums and the mean may leave the floating-point range:
-    ``_extremes`` refuses such a base.  The caller ignores overflow."""
-    a, p = pair.actuals[part], pair.predicted[part]
+    ``_extremes`` refuses such a base.  The caller ignores overflow.
+    The predictions are gathered only for a base that reads them."""
+    a = pair.actuals[part]
     e = pair.extremes
     if spec.kind is NormKind.BY_ACTUALS:
         # |A| is A itself when every actual is positive (-0.0 is not)
@@ -226,6 +234,7 @@ def _normalizer_base(
     if spec.kind is NormKind.BY_VARIABILITY:
         dev = np.subtract(a, center, out=out)
         return np.abs(dev, out=dev) if spec.absolute else dev
+    p = pair.predicted[part]
     if spec.kind is NormKind.BY_SUM:
         if not spec.absolute or e.a_lo > 0 and e.p_lo > 0:
             return np.add(a, p, out=out)
@@ -345,8 +354,9 @@ def _normalize(
         out = np.empty(n)
     buf = np.empty(min(n, _BLOCK))
     op = np.multiply if spec.exponent == -1 else np.divide
+    corrects = policy.zero_denominator is ZeroDenominatorPolicy.EPSILON
     hits: list[np.ndarray] = []  # the degenerate usable points, block by block
-    numerators: list[np.ndarray] = []  # their values, before ``out`` may overwrite them
+    numerators: list[np.ndarray] = []  # their values under epsilon, before ``out`` may overwrite them
     overflows: list[int] = []  # first points whose squared base is beyond range
 
     for start in range(0, n, _BLOCK):
@@ -359,7 +369,8 @@ def _normalize(
             if degenerate is not None:
                 at = np.flatnonzero(degenerate)  # an index array gathers faster than a mask
                 hits.append(at + start)
-                numerators.append(values[at])
+                if corrects:
+                    numerators.append(values[at])
         if spec.exponent == 2:
             base = np.square(base, out=buf[:base.size])
             first = None if proven else _first_inf(base)
@@ -382,7 +393,7 @@ def _normalize(
         else:
             eps = policy.epsilon
             if eps is None:
-                eps = smallest_nonzero_actual(pair.actuals)
+                eps = pair.smallest_nonzero_actual
                 if eps == 0.0:
                     raise ZeroDenominator(message="epsilon correction impossible: every actual is zero")
             base = _normalizer_base(pair, spec, center, degenerate, np.empty(degenerate.size)) + eps
@@ -401,7 +412,7 @@ def _normalize(
     if overflows:
         raise NormalizerOverflow(min(overflows))
     if spec.exponent != -1 and not points.clean:
-        out[~points.usable] = 0.0 * spec.factor
+        out[np.flatnonzero(~points.usable)] = 0.0 * spec.factor
     if usable is points.usable:
         return points.with_values(out, actions)
     return PointVector(out, usable, actions)
@@ -502,7 +513,7 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
         if v.min() <= 0:
             raise GeometricMeanDomain()
         with np.errstate(under="ignore"):
-            product = float(np.prod(v))
+            product = _product(v)
         if _SMALLEST_NORMAL <= product < np.inf:
             return float(product ** (1.0 / m))
         # the running product left the normal range (a subnormal keeps too
@@ -528,6 +539,21 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
             s[m - k:] = s[m - k - 1]
         return float(s.mean())
     raise AssertionError(f"unexpected aggregator kind {kind!r}")
+
+
+def _product(v: np.ndarray) -> float:
+    """``np.prod(v)`` of positive values, bit for bit, or inf or 0 as soon
+    as the running product reaches either, which it cannot then leave.
+
+    NumPy multiplies a reduction in order, so blocks each begun at the
+    running product give the product itself.  A subnormal running product
+    goes on: it may still return to the normal range."""
+    product = 1.0
+    for start in range(0, v.size, _BLOCK):
+        product = float(np.multiply.reduce(v[start:start + _BLOCK], initial=product))
+        if product == 0.0 or product == math.inf:
+            break
+    return product
 
 
 def _median(v: np.ndarray, overwrite: bool) -> float:

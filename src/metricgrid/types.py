@@ -276,6 +276,8 @@ class SeriesPair:
     ``extremes`` holds the smallest and largest value of each series,
     found by the validation pass, so later stages can bound what they
     compute without scanning the series again.
+    ``smallest_nonzero_actual``, the default epsilon, is found once per
+    pair, on first use.
     """
 
     actuals: np.ndarray
@@ -304,6 +306,11 @@ class SeriesPair:
         mask = np.ones(self.n, dtype=bool)
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def smallest_nonzero_actual(self) -> float:
+        """Smallest nonzero |actual|; 0.0 when every actual is zero."""
+        return smallest_nonzero_actual(self.actuals)
 
     def swapped(self) -> "SeriesPair":
         """Pair with the roles of actual and predicted exchanged."""
@@ -462,8 +469,9 @@ class PointVector:
 
     def usable_values(self) -> np.ndarray:
         """Values of the usable points: ``values`` itself when the vector
-        is clean, so the caller must not write to it."""
-        return self.values if self.clean else self.values[self.usable]
+        is clean, so the caller must not write to it, else a new array
+        (gathered by ``np.compress``, which is faster than a mask index)."""
+        return self.values if self.clean else np.compress(self.usable, self.values)
 
 
 @dataclass(frozen=True)
