@@ -4,15 +4,17 @@ Four verbs: ``eval`` scores predictions from a CSV or JSON file, ``chart``
 prints the composition grid, ``list`` dumps the catalog and ``suites``
 shows the named metric bundles.  Exit codes: 0 all good, 1 at least one
 metric failed to evaluate, 2 the configuration or input could not be used
-at all.  Every named metric, from ``--metrics`` or a suite, passes
-``registry.check`` before any data is evaluated.  Every selected entry
-then becomes a report entry through ``evaluate_selection``, which embeds
-its error: a named metric is evaluated by ``derived.evaluate_metric``, an
-ad-hoc ``--composition`` descriptor by the pipeline.  Every JSON output
-(the report, ``list --format json`` and ``suites --format json``) is one
-``json.dumps`` call, ``_json``; every delimited one (``eval``, ``list``
-and ``chart``) goes through ``csv.writer``, so a field holding a comma is
-quoted.
+at all.  ``_selection_plan`` resolves the selection before any data is
+evaluated: each name given, in ``--metrics``, a suite or a ``variants``
+key, is looked up once, and each distinct (metric, variant) entry passes
+``registry.check`` once.  What the check returned goes with the entry to
+``evaluate_selection``, which makes it a report entry and embeds its
+error: a named metric's spec is evaluated by ``derived.evaluate_spec``,
+with no second lookup or check, an ad-hoc ``--composition`` descriptor by
+the pipeline.  Every JSON output (the report, ``list --format json`` and
+``suites --format json``) is one ``json.dumps`` call, ``_json``; every
+delimited one (``eval``, ``list`` and ``chart``) goes through
+``csv.writer``, so a field holding a comma is quoted.
 
 An ``eval`` report lists at most ``ACTIONS_LISTED`` policy actions per
 metric, the first ones taken; an entry with more also carries
@@ -483,6 +485,15 @@ def parse_cell(text: str) -> tuple[Distance, NormKind, AggKind]:
     return (_DISTANCES[parts[0]], _NORMALIZERS[parts[1]], _AGGREGATORS[parts[2]])
 
 
+def _list_cells(text: str) -> tuple[tuple[Distance, NormKind, AggKind], ...]:
+    """The cells ``list --cell`` matches.  A plain ``N5`` is the chart's N5
+    column, which holds max and min alike; ``N5max`` or ``N5min`` picks one."""
+    distance, norm, agg = parse_cell(text)
+    if text.split(",")[1].strip().lower() != "n5":
+        return ((distance, norm, agg),)
+    return (distance, NormKind.BY_MAX, agg), (distance, NormKind.BY_MIN, agg)
+
+
 # --- policy ------------------------------------------------------------------
 
 
@@ -505,6 +516,9 @@ def build_policy(on_zero: str | None, epsilon: str | None, on_log: str | None) -
 
 
 # --- evaluation --------------------------------------------------------------
+
+# what a planned entry evaluates: a checked catalog spec or an ad-hoc composition
+_Spec = registry.MetricDefinition | registry.Variant | MetricComposition
 
 
 def _metric_entry(name: str, result, variant: str | None, extra: dict | None = None) -> dict:
@@ -529,24 +543,25 @@ def _error_entry(name: str, variant: str | None, exc: MetricError) -> dict:
 
 def evaluate_selection(
     pair: SeriesPair,
-    name: str,
+    label: str,
     variant: str | None,
+    spec: _Spec,
     benchmark: SeriesPair | None,
     in_sample: np.ndarray | None,
     policy: EvaluationPolicy,
-    composition: MetricComposition | None = None,
 ) -> dict:
-    """Evaluate one selected metric into a report entry; errors are embedded.
+    """Evaluate one planned entry into a report entry; errors are embedded.
 
-    ``name`` is a catalog name, or the descriptor an ad-hoc
-    ``composition`` was parsed from, which labels its entry.
+    ``spec`` is what ``registry.check`` returned for the catalog metric
+    ``label``, evaluated by ``derived.evaluate_spec``, or the ad-hoc
+    composition the descriptor ``label`` was parsed to, run through the
+    pipeline.
     """
-    label = name if composition is not None else registry.lookup(name).abbreviation
     try:
-        if composition is None:
-            result, rel = derived.evaluate_metric(pair, label, policy, variant, benchmark, in_sample)
+        if isinstance(spec, MetricComposition):
+            result, rel = evaluate(pair, spec, policy), None
         else:
-            result, rel = evaluate(pair, composition, policy), None
+            result, rel = derived.evaluate_spec(pair, spec, policy, benchmark, in_sample)
     except MetricError as exc:
         return _error_entry(label, variant, exc)
     detail = None
@@ -563,41 +578,46 @@ def _selection_plan(
     extra_suites: dict[str, derived.SuiteDefinition],
     have_benchmark: bool,
     have_in_sample: bool,
-) -> list[tuple[str, str | None, MetricComposition | None]]:
+) -> list[tuple[str, str | None, _Spec]]:
     """Resolve and validate the selection up front.
 
-    Returns (label, variant, composition) triples, in selection order and
-    without repeats; the composition is set only for ad-hoc descriptors.
+    Returns (label, variant, spec) triples, in selection order and
+    without repeats, each the arguments ``evaluate_selection`` takes
+    after the pair.  A named entry is looked up once per name given and
+    checked once; its spec is what ``registry.check`` returned.  An
+    ad-hoc descriptor's spec is the composition parsed from it.
     A ``variants`` key is any name ``registry.lookup`` knows, and the last
     key naming a metric wins; its variant must be one the metric has,
     whether or not the metric is selected, and None means the default.
     A suite member takes that variant unless it pins its own (``NAME:VARIANT``).
     Anything invalid here is a configuration error, not a metric failure.
     """
-    plan: dict[tuple[str, str | None], MetricComposition | None] = {}
-    by_abbreviation = {registry.lookup(name).abbreviation: v for name, v in variants.items()}
-    for abbreviation, variant in by_abbreviation.items():
-        known = registry.lookup(abbreviation).variants
-        if variant is not None and variant not in known:
-            raise UnknownVariant(abbreviation, variant, tuple(known))
+    plan: dict[tuple[str, str | None], _Spec] = {}
+    overrides: dict[str, tuple[registry.MetricDefinition, str | None]] = {}
+    for name, variant in variants.items():
+        defn = registry.lookup(name)
+        overrides[defn.abbreviation] = defn, variant
+    for defn, variant in overrides.values():
+        if variant is not None and variant not in defn.variants:
+            raise UnknownVariant(defn.abbreviation, variant, tuple(defn.variants))
 
     def add_named(defn: registry.MetricDefinition, variant: str | None) -> None:
-        registry.check(defn, variant, have_benchmark, have_in_sample)
-        plan.setdefault((defn.abbreviation, variant), None)
+        if variant is None and defn.abbreviation in overrides:
+            variant = overrides[defn.abbreviation][1]
+        if (defn.abbreviation, variant) not in plan:
+            plan[defn.abbreviation, variant] = registry.check(defn, variant, have_benchmark, have_in_sample)
 
     for name in metrics:
-        defn = registry.lookup(name)
-        add_named(defn, by_abbreviation.get(defn.abbreviation))
+        add_named(registry.lookup(name), None)
     for suite_name in suites:
         for member in derived.get_suite(suite_name, extra_suites).members:
             abbr, _, variant = member.partition(":")
-            defn = registry.lookup(abbr)
-            add_named(defn, variant or by_abbreviation.get(defn.abbreviation))
+            add_named(registry.lookup(abbr), variant or None)
     for text in compositions:
         plan.setdefault((text, None), parse_composition(text))
     if not plan:
         raise ParseError("nothing selected: pass --metrics, --suite or --composition")
-    return [(label, variant, comp) for (label, variant), comp in plan.items()]
+    return [(label, variant, spec) for (label, variant), spec in plan.items()]
 
 
 # --- report rendering ---------------------------------------------------------
@@ -837,8 +857,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         have_benchmark=benchmark is not None, have_in_sample=in_sample is not None,
     )
 
-    entries = [evaluate_selection(pair, label, variant, benchmark, in_sample, policy, comp)
-               for label, variant, comp in plan]
+    entries = [evaluate_selection(pair, *entry, benchmark, in_sample, policy) for entry in plan]
     failed = any("error" in entry for entry in entries)
     for entry in entries:
         _cap_actions(entry)
@@ -862,8 +881,10 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     category = registry.Category(args.category) if args.category else None
-    cell = parse_cell(args.cell) if args.cell else None
-    defs = registry.list_metrics(category=category, cell=cell, include_stubs=args.include_stubs)
+    defs = registry.list_metrics(category=category, include_stubs=args.include_stubs)
+    if args.cell:
+        cells = _list_cells(args.cell)
+        defs = [d for d in defs if d.cell in cells]
     if args.format == "json":
         _emit(_json([d.to_record() for d in defs]), args.out)
         return 0

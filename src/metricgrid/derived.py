@@ -1,14 +1,17 @@
-"""Metrics built on top of other metrics, and the one route to any named metric.
+"""Metrics built on top of other metrics, and the one evaluator of a named metric.
 
 The whole-series normalizations (NRMSE family, NMSE) and the benchmark-
 and history-relative composites (RMAE, RelRMSE, LMR, RGRMSE, MASE, CoD)
 are ``registry.DerivedRecipe`` data; the functions here are named entry
-points to them, plus named metric suites.  ``evaluate_metric``, which the
-named entry points, suites and the command line call, is the one route
-from a catalog name to a value: one ``registry.check``, then the
-composition it passed through ``evaluate`` or the recipe through
-``registry.evaluate_recipe``.  Only ``relative_metric``, whose recipe is
-built from its arguments rather than named, evaluates a recipe itself.
+points to them, plus named metric suites.  Every route to a catalog name
+resolves it once: one ``registry.lookup``, one ``registry.check``, and
+then ``evaluate_spec`` evaluates what the check returned, the composition
+through ``evaluate`` or the recipe through ``registry.evaluate_recipe``.
+``evaluate_metric``, the named entry points and suites take that route
+here; the command line checks its selection up front and hands each
+checked spec to ``evaluate_spec``.  Only ``relative_metric``, whose
+recipe is built from its arguments rather than named, evaluates a recipe
+itself.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def extended(
     defn = registry.lookup(name)
     if defn.category is not registry.Category.EXTENDED:
         raise ValidationError(f"{name!r} is not an extended whole-series metric")
-    return evaluate_metric(pair, defn.abbreviation, policy)[0]
+    return evaluate_spec(pair, registry.check(defn), policy)[0]
 
 
 def mase(
@@ -123,7 +126,8 @@ def relative_named(
     defn = registry.lookup(name)
     if defn.requires != "benchmark":
         raise ValidationError(f"{name!r} is not a benchmark-relative metric")
-    return evaluate_metric(pair, defn.abbreviation, policy, benchmark=benchmark)[1]
+    spec = registry.check(defn, None, benchmark is not None)
+    return evaluate_spec(pair, spec, policy, benchmark)[1]
 
 
 def evaluate_metric(
@@ -144,10 +148,26 @@ def evaluate_metric(
     """
     defn = registry.lookup(name)
     spec = registry.check(defn, variant, benchmark is not None, in_sample is not None)
+    return evaluate_spec(pair, spec, policy, benchmark, in_sample)
+
+
+def evaluate_spec(
+    pair: SeriesPair,
+    spec: registry.MetricDefinition | registry.Variant,
+    policy: EvaluationPolicy = FAIL_FAST,
+    benchmark: SeriesPair | None = None,
+    in_sample: np.ndarray | None = None,
+) -> tuple[MetricResult, RelativeResult | None]:
+    """Evaluate what ``registry.check`` returned for a catalog name.
+
+    The composition runs through the pipeline, a recipe through
+    ``registry.evaluate_recipe``; a recipe whose statistic requires a
+    benchmark also gives its RelativeResult.  No lookup and no check.
+    """
     if spec.recipe is None:
         return evaluate(pair, spec.composition, policy), None
     outcome = registry.evaluate_recipe(pair, spec.recipe, policy, benchmark, in_sample)
-    rel = _relative(spec.recipe, outcome) if defn.requires == "benchmark" else None
+    rel = _relative(spec.recipe, outcome) if spec.recipe.statistic.requires == "benchmark" else None
     return outcome[0], rel
 
 
@@ -227,9 +247,10 @@ def _evaluate_member(
     benchmark = aux.benchmark_pair if aux is not None else None
     in_sample = aux.in_sample if aux is not None else None
     try:
-        name = registry.lookup(abbr).abbreviation
-        result, _ = evaluate_metric(pair, name, policy, variant, benchmark, in_sample)
-        return SuiteEntry(name, variant, result, None)
+        defn = registry.lookup(abbr)
+        spec = registry.check(defn, variant, benchmark is not None, in_sample is not None)
+        result, _ = evaluate_spec(pair, spec, policy, benchmark, in_sample)
+        return SuiteEntry(defn.abbreviation, variant, result, None)
     except MetricError as exc:
         return SuiteEntry(abbr, variant, None, f"{type(exc).__name__}: {exc}")
 

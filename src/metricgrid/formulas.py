@@ -286,11 +286,12 @@ def smape(a, p, policy=FAIL_FAST, variant=None):
     """Symmetric mean absolute percentage error.
 
     The mean-denominator variant divides by (A + P)/2, which is the same
-    quantity written differently.
+    quantity written differently: as for the default form, the base A + P
+    is tested and epsilon-corrected, and then halved.
     """
     if variant == "mean-denominator":
-        q, mask = _guarded(np.abs(a - p), (a + p) / 2.0, a, policy)
-        return 100.0 * _mean(q, mask)
+        q, mask = _guarded(np.abs(a - p), a + p, a, policy)
+        return 100.0 * _mean(2.0 * q, mask)   # |A - P| / ((A + P)/2)
     return 100.0 * fae(a, p, policy, variant)
 
 

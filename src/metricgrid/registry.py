@@ -10,7 +10,7 @@ evaluation route runs them.  Variants are data on the definition.  Lookup
 is case-insensitive, knows the common alias names, and suggests near
 misses.  ``check`` holds every up-front configuration check for a named
 metric and returns the definition or variant it passed;
-``derived.evaluate_metric`` evaluates that for every catalog name, and
+``derived.evaluate_spec`` evaluates that for every catalog name, and
 ``evaluate_named`` for primary metrics only.
 """
 

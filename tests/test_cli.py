@@ -538,7 +538,8 @@ def uncapped_report(path: str, pair: SeriesPair, policy: EvaluationPolicy, names
     """The report ``eval`` would write with every policy action listed."""
     return {
         "input": path,
-        "metrics": [cli.evaluate_selection(pair, name, None, None, None, policy) for name in names],
+        "metrics": [cli.evaluate_selection(pair, *entry, None, None, policy)
+                    for entry in cli._selection_plan(list(names), [], [], {}, {}, False, False)],
         "policy": policy.to_config(),
         "version": __version__,
     }
@@ -642,6 +643,18 @@ class TestList:
         lines = [line for line in out.splitlines() if line.strip()]
         assert len(lines) == 1
         assert lines[0].startswith("MdAPE")
+
+    @pytest.mark.parametrize("cell, listed", [
+        ("D3,N5,G4", ["VSD"]), ("D2,n5,G4", ["WHD"]),
+        ("D3,N5min,G4", ["VSD"]), ("D3,N5max,G4", []),
+        ("D2,N5max,G4", ["WHD"]), ("D2,n5-min,G4", []),
+    ])
+    def test_cell_filter_n5_is_the_chart_column(self, capsys, cell, listed):
+        """A plain N5 matches max and min, as the chart's N5 column holds
+        both; N5max and N5min each match one."""
+        code, out, _ = run(capsys, "list", "--cell", cell)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines() if line.strip()] == listed
 
     def test_category_filter_json(self, capsys):
         code, out, _ = run(capsys, "list", "--category", "composite", "--format", "json")

@@ -206,11 +206,9 @@ def expected_sets(pair, comp):
     return np.array([], dtype=int), zero
 
 
-# The oracle adds epsilon to (A + P)/2 for sMAPE's mean-denominator
-# variant, the pipeline to A + P (the variant shares sMAPE's composition),
-# so at a point where P = -A the two differ by a factor of 2.  The test
-# holds that they still disagree, so a fix on either side shows here.
-KNOWN_DISAGREEMENTS = {("sMAPE", "mean-denominator", "epsilon")}
+# (name, variant, policy) where the pipeline and the oracle are known to
+# differ; the test holds that each still does, so a fix shows here
+KNOWN_DISAGREEMENTS: set[tuple[str, str | None, str]] = set()
 
 
 @pytest.fixture(scope="module")

@@ -279,8 +279,9 @@ def degenerate_pairs(draw):
 )
 def test_rendered_report_equals_json_dumps(pair, policy, path):
     entries = [
-        cli.evaluate_selection(pair, name, None, None, None, policy)
-        for name in ("MAPE", "MdLAR", "MARE", "NCSD", "sMAPE", "MAE")
+        cli.evaluate_selection(pair, *entry, None, None, policy)
+        for entry in cli._selection_plan(["MAPE", "MdLAR", "MARE", "NCSD", "sMAPE", "MAE"],
+                                         [], [], {}, {}, False, False)
     ]
     comp = parse_composition(LOG_AND_VARIABILITY)
     try:

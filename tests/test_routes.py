@@ -5,7 +5,8 @@ report, ``derived.evaluate_metric``, a one-member ``evaluate_suite``,
 for primary metrics ``registry.evaluate_named`` and for the others their
 named wrapper in ``derived`` must agree bit for bit, or fail with the same
 error type.  A missing benchmark or history is the same error on every
-route, and ``evaluate_metric`` checks a name's configuration once.
+route.  Each library route and ``metricgrid eval`` look a name up and
+check its configuration once.
 """
 
 import json
@@ -150,21 +151,78 @@ def test_every_route_gives_the_same_bits(tmp_path, dataset, policy_name):
         assert not all(v.isalpha() for v in from_cli.values())
 
 
+def library_routes(defn, variant, pair, bench, policy):
+    """Every library call that evaluates ``defn`` as ``variant``, by route."""
+    abbr = defn.abbreviation
+    suite = SuiteDefinition("one", (member_label(abbr, variant),))
+    aux = BenchmarkInput(benchmark_pair=bench, in_sample=HISTORY)
+    routes = {
+        "evaluate_metric": lambda: evaluate_metric(pair, abbr, policy, variant, bench, HISTORY),
+        "evaluate_suite": lambda: evaluate_suite(pair, suite, aux, policy),
+    }
+    if defn.category is registry.Category.PRIMARY:
+        routes["evaluate_named"] = lambda: registry.evaluate_named(pair, abbr, policy, variant)
+    elif variant is None:
+        routes["wrapper"] = wrapper_call(defn, pair, bench, policy)
+    return routes
+
+
+def counting(monkeypatch):
+    """Record the name of each ``registry.lookup`` and the (abbreviation,
+    variant) of each ``registry.check`` from here on."""
+    looked, checked = [], []
+    lookup, check = registry.lookup, registry.check
+
+    def counted_lookup(name):
+        looked.append(name)
+        return lookup(name)
+
+    def counted_check(defn, variant=None, *args):
+        checked.append((defn.abbreviation, variant))
+        return check(defn, variant, *args)
+
+    monkeypatch.setattr(registry, "lookup", counted_lookup)
+    monkeypatch.setattr(registry, "check", counted_check)
+    return looked, checked
+
+
 @pytest.mark.parametrize("abbr, variant", MEMBERS, ids=[member_label(*m) for m in MEMBERS])
 def test_evaluate_metric_checks_once(monkeypatch, abbr, variant):
+    """Each library route looks the name up once and checks it once; the
+    one other lookup is of a recipe's base, when the recipe runs."""
     data = DATASETS["clean"]
     pair = SeriesPair(data["actual"], data["predicted"])
     bench = SeriesPair(data["actual"], data["benchmark"])
-    checked = []
-    check = registry.check
+    defn = registry.lookup(abbr)
+    spec = registry.check(defn, variant, True, True)
+    want = (sorted([abbr, *([spec.recipe.base] if spec.recipe else [])]), [(abbr, variant)])
+    looked, checked = counting(monkeypatch)
+    got = {}
+    for route, call in library_routes(defn, variant, pair, bench, EvaluationPolicy()).items():
+        looked.clear()
+        checked.clear()
+        call()
+        got[route] = (sorted(looked), list(checked))
+    assert got == {route: want for route in got}
 
-    def counted(*args, **kwargs):
-        checked.append(args)
-        return check(*args, **kwargs)
 
-    monkeypatch.setattr(registry, "check", counted)
-    evaluate_metric(pair, abbr, EvaluationPolicy(), variant, bench, HISTORY)
-    assert len(checked) == 1
+def test_eval_looks_each_name_up_once_and_checks_each_entry_once(monkeypatch, tmp_path):
+    data = DATASETS["clean"]
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(data))
+    looked, checked = counting(monkeypatch)
+    code = cli.main([
+        "eval", "--input", str(data_path), "--benchmark", "benchmark",
+        "-m", "MAE,RMAE,RAE", "--variant", "rae=option2", "--suite", "bias-accuracy",
+        "--composition", "distance=D2 normalizer=N4 aggregator=G1",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    given = ["rae", "MAE", "RMAE", "RAE", "ME", "MAE", "RMSE"]
+    bases = ["MAE", "SAD"]       # of RMAE and of RAE's option2 recipe
+    assert sorted(looked) == sorted(given + bases)
+    assert sorted(checked, key=str) == sorted(
+        [("MAE", None), ("RMAE", None), ("RAE", "option2"), ("ME", None), ("RMSE", None)], key=str)
 
 
 PAIR = SeriesPair(DATASETS["clean"]["actual"], DATASETS["clean"]["predicted"])
