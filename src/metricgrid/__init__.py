@@ -23,7 +23,6 @@ from .errors import MetricError  # noqa: F401
 from .types import (  # noqa: F401
     Aggregator,
     AggKind,
-    BenchmarkInput,
     Dimension,
     Distance,
     EvaluationPolicy,

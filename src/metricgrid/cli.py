@@ -315,12 +315,13 @@ def _overflows(value: int | float) -> bool:
     return False
 
 
-def _json_column(path: str, payload: dict, key: str) -> np.ndarray:
-    """The array under ``key`` of a JSON object as a float vector."""
-    if not isinstance(payload[key], list):
+def _json_column(path: str, values: Any, key: str) -> np.ndarray:
+    """A JSON array, the column ``key``, as a float vector; a value that is
+    not a number is a ParseError."""
+    if not isinstance(values, list):
         raise ParseError(f"{path} key {key!r} must be an array")
     try:
-        return _json_floats(payload[key], key)
+        return _json_floats(values, key)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -334,7 +335,7 @@ def read_columns_json(path: str, columns: Sequence[str]) -> dict[str, np.ndarray
     for c in columns:
         if c not in payload:
             raise ParseError(f"{path} is missing key {c!r}")
-        out[c] = _json_column(path, payload, c)
+        out[c] = _json_column(path, payload[c], c)
     return out
 
 
@@ -366,9 +367,9 @@ def load_series(path: str, column: str) -> np.ndarray:
     if path.lower().endswith(".json"):
         payload = _load_json(path)
         if isinstance(payload, list):
-            return _json_floats(payload, column)
-        if isinstance(payload, dict) and column in payload:
             return _json_column(path, payload, column)
+        if isinstance(payload, dict) and column in payload:
+            return _json_column(path, payload[column], column)
         raise ParseError(f"{path} must be a JSON array or an object with key {column!r}")
     return read_columns_csv(path, [column])[column]
 
@@ -898,8 +899,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     lines = []
     for d in defs:
         status = "" if d.implemented else "  [not implemented]"
-        lines.append(f"{d.abbreviation.ljust(width)}  {d.category.value:9}  {d.full_name}{status}")
-    _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"{d.abbreviation.ljust(width)}  {d.category.value:9}  {d.full_name}{status}\n")
+    _emit("".join(lines), args.out)
     return 0
 
 

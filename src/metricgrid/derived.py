@@ -8,8 +8,9 @@ resolves it once: one ``registry.lookup``, one ``registry.check``, and
 then ``evaluate_spec`` evaluates what the check returned, the composition
 through ``evaluate`` or the recipe through ``registry.evaluate_recipe``.
 ``evaluate_metric``, the named entry points and suites take that route
-here; the command line checks its selection up front and hands each
-checked spec to ``evaluate_spec``.  Only ``relative_metric``, whose
+here, with the same ``benchmark`` and ``in_sample`` inputs; the command
+line checks its selection up front and hands each checked spec to
+``evaluate_spec``.  Only ``relative_metric``, whose
 recipe is built from its arguments rather than named, evaluates a recipe
 itself.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from . import registry
 from .errors import MetricError, UnknownSuite, ValidationError
 from .evaluator import evaluate
-from .types import BenchmarkInput, EvaluationPolicy, FAIL_FAST, MetricResult, SeriesPair
+from .types import EvaluationPolicy, FAIL_FAST, MetricResult, SeriesPair
 
 
 def extended(
@@ -239,13 +240,12 @@ def get_suite(name: str, extra: dict[str, SuiteDefinition] | None = None) -> Sui
 def _evaluate_member(
     pair: SeriesPair,
     member: str,
-    aux: BenchmarkInput | None,
     policy: EvaluationPolicy,
+    benchmark: SeriesPair | None,
+    in_sample: np.ndarray | None,
 ) -> SuiteEntry:
     abbr, _, variant = member.partition(":")
     variant = variant or None
-    benchmark = aux.benchmark_pair if aux is not None else None
-    in_sample = aux.in_sample if aux is not None else None
     try:
         defn = registry.lookup(abbr)
         spec = registry.check(defn, variant, benchmark is not None, in_sample is not None)
@@ -258,17 +258,19 @@ def _evaluate_member(
 def evaluate_suite(
     pair: SeriesPair,
     suite: SuiteDefinition | str,
-    aux: BenchmarkInput | None = None,
     policy: EvaluationPolicy = FAIL_FAST,
+    benchmark: SeriesPair | None = None,
+    in_sample: np.ndarray | None = None,
     extra_suites: dict[str, SuiteDefinition] | None = None,
 ) -> SuiteResult:
     """Evaluate every member of a suite, embedding per-member failures.
 
-    One bad member never aborts the rest: its entry carries the error
-    text and the remaining members still evaluate.  Entries come back in
-    member order.
+    ``benchmark`` and ``in_sample`` go to each member as to
+    ``evaluate_metric``.  One bad member never aborts the rest: its entry
+    carries the error text and the remaining members still evaluate.
+    Entries come back in member order.
     """
     if isinstance(suite, str):
         suite = get_suite(suite, extra_suites)
-    entries = tuple(_evaluate_member(pair, m, aux, policy) for m in suite.members)
+    entries = tuple(_evaluate_member(pair, m, policy, benchmark, in_sample) for m in suite.members)
     return SuiteResult(suite.name, entries)

@@ -28,13 +28,13 @@ import numpy as np
 from . import formulas
 from .errors import (
     BenchmarkMismatch, InsufficientData, LogDomain, MissingBenchmark, RangeOverflow, RequiresBenchmark,
-    UnimplementedMetric, UnknownMetric, UnknownVariant, ValidationError, ZeroDenominator,
+    UnimplementedMetric, UnknownMetric, UnknownVariant, ZeroDenominator,
 )
 from .evaluator import apply_post, dimension_of, evaluate, point_distances  # noqa: F401  (perfbench wraps it)
 from .types import (
     NEAR_ZERO, AggKind, Cell, Dimension, Distance, EvaluationPolicy, FAIL_FAST, GEOMETRIC_MEAN, MAXIMUM,
     MEDIAN, MetricComposition, MetricResult, NormalizerSpec, NormKind, PERCENT_SCALE, PointTransform,
-    PostTransform, SQRT, SUM, SYMMETRIC_ACCURACY, SeriesPair,
+    PostTransform, SQRT, SUM, SYMMETRIC_ACCURACY, SeriesPair, as_series, finite_range,
 )
 
 DirectFn = Callable[[np.ndarray, np.ndarray, EvaluationPolicy, "str | None"], float]
@@ -642,8 +642,9 @@ def evaluate_recipe(
     The statistic comes first: a missing benchmark or history, too few
     points, a non-finite history, a statistic beyond the floating-point
     range and a zero statistic all raise before the base metric runs on
-    the pair.  The result carries the base run's point counts and policy
-    records.
+    the pair; the history is checked as a pair's series is, by
+    ``as_series``, its length, then ``finite_range``.  The result carries
+    the base run's point counts and policy records.
     """
     base = lookup(recipe.base)
     stat = recipe.statistic
@@ -656,11 +657,11 @@ def evaluate_recipe(
         den = evaluate(benchmark, base.composition, policy).value
     else:
         # the pair's actuals are finite: SeriesPair validated them
-        series = np.asarray(in_sample, dtype=float) if stat.requires else pair.actuals
-        if series.ndim != 1 or series.size < stat.min_points:
+        series = as_series(in_sample, stat.requires) if stat.requires else pair.actuals
+        if series.size < stat.min_points:
             raise InsufficientData(stat.too_few)
-        if stat.requires and not np.isfinite(series).all():
-            raise ValidationError(f"{stat.requires} contains non-finite values")
+        if stat.requires:
+            finite_range(series, stat.requires)
         with np.errstate(over="ignore", invalid="ignore"):
             den = float(stat.of(series))
         if not math.isfinite(den):

@@ -4,7 +4,8 @@ A metric evaluation is described by four orthogonal choices: a point
 distance, a normalizer, an aggregator and optional transforms.  The types
 here encode those choices as small frozen dataclasses plus a validated
 ``SeriesPair`` holding the data.  Construction implies validity: any
-instance you can obtain satisfies its invariants.
+instance you can obtain satisfies its invariants.  Every series, the
+in-sample history too, passes one rule: ``as_series``, ``finite_range``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import (
     EmptySeries,
-    InsufficientData,
     LengthMismatch,
     NonFiniteResult,
     NonFiniteValue,
@@ -236,14 +236,26 @@ class EvaluationPolicy:
 FAIL_FAST = EvaluationPolicy()
 
 
-def _as_series(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def as_series(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
+    """``values`` as a one-dimensional float array, not copied when it is one.
+    A value that is not a real number, a ragged list or any other shape is
+    a ValidationError naming the series, never a NumPy error or warning."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype != np.float64:
+            # a cast would drop the imaginary part with a ComplexWarning
+            if np.iscomplexobj(arr) or (arr.dtype == object and any(map(np.iscomplexobj, arr.flat))):
+                raise ValidationError(f"{name} has complex values")
+            with np.errstate(over="ignore"):
+                arr = arr.astype(np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not a series of real numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
 
 
-def _finite_range(arr: np.ndarray, name: str) -> tuple[float, float]:
+def finite_range(arr: np.ndarray, name: str) -> tuple[float, float]:
     """Smallest and largest value of a nonempty series.  A NaN or an
     infinity shows in one of them, so the index of the first value that is
     not finite is searched for only then, and named by NonFiniteValue."""
@@ -285,13 +297,13 @@ class SeriesPair:
     extremes: Extremes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = _as_series(self.actuals, "actuals")
-        p = _as_series(self.predicted, "predicted")
+        a = as_series(self.actuals, "actuals")
+        p = as_series(self.predicted, "predicted")
         if a.size != p.size:
             raise LengthMismatch(a.size, p.size)
         if a.size == 0:
             raise EmptySeries()
-        extremes = Extremes(*_finite_range(a, "actuals"), *_finite_range(p, "predicted"))
+        extremes = Extremes(*finite_range(a, "actuals"), *finite_range(p, "predicted"))
         object.__setattr__(self, "actuals", _frozen(a))
         object.__setattr__(self, "predicted", _frozen(p))
         object.__setattr__(self, "extremes", extremes)
@@ -323,10 +335,10 @@ class SeriesPair:
     def with_predicted(self, predicted: Sequence[float] | np.ndarray) -> "SeriesPair":
         """Pair of these same actuals (shared, not copied) with other
         predictions, which alone are validated and copied."""
-        p = _as_series(predicted, "predicted")
+        p = as_series(predicted, "predicted")
         if p.size != self.n:
             raise LengthMismatch(self.n, p.size)
-        p_lo, p_hi = _finite_range(p, "predicted")
+        p_lo, p_hi = finite_range(p, "predicted")
         pair = object.__new__(SeriesPair)
         object.__setattr__(pair, "actuals", self.actuals)
         object.__setattr__(pair, "predicted", _frozen(p))
@@ -517,29 +529,6 @@ class MetricResult:
             "points_skipped": self.points_skipped,
             "actions": self.actions,
         }
-
-
-@dataclass(frozen=True)
-class BenchmarkInput:
-    """External reference for composite metrics: one source or both.
-
-    ``benchmark_pair`` holds a second prediction of the same actuals, for
-    relative metrics; ``in_sample`` holds the history used to scale MASE.
-    With both, one suite can hold relative metrics and MASE together.
-    """
-
-    benchmark_pair: SeriesPair | None = None
-    in_sample: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.benchmark_pair is None and self.in_sample is None:
-            raise ValidationError("provide benchmark_pair, in_sample or both")
-        if self.in_sample is not None:
-            arr = _as_series(self.in_sample, "in_sample")
-            if arr.size < 2:
-                raise InsufficientData("in-sample history needs at least 2 points")
-            _finite_range(arr, "in_sample")
-            object.__setattr__(self, "in_sample", _frozen(arr))
 
 
 def smallest_nonzero_actual(actuals: np.ndarray) -> float:

@@ -185,6 +185,19 @@ class TestEval:
         assert code == 0
         assert report["metrics"][0]["value"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_non_finite_history_names_its_index(self, capsys, demo_csv, tmp_path):
+        history = tmp_path / "history.csv"
+        history.write_text("actual\n1\n3\nnan\n5\n")
+        code, report, _ = run_json(
+            capsys, "eval", "--input", demo_csv, "--in-sample", str(history),
+            "--metrics", "MASE,MAE",
+        )
+        assert code == 1
+        assert report["metrics"][0]["error"] == {
+            "type": "NonFiniteValue", "message": "non-finite value in in-sample history at index 2",
+        }
+        assert "value" in report["metrics"][1]
+
     def test_mase_without_history_fails_fast(self, capsys, demo_csv):
         code, _, err = run(capsys, "eval", "--input", demo_csv, "--metrics", "MASE")
         assert code == 2
@@ -681,6 +694,13 @@ class TestList:
         code, out, _ = run(capsys, "list", "--format", "delimited")
         assert code == 0
         assert out.splitlines()[0] == "abbreviation,name,category,dimension,implemented"
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("table", ""), ("json", "[]\n"), ("delimited", "abbreviation,name,category,dimension,implemented\n"),
+    ])
+    def test_no_match_prints_no_row(self, capsys, fmt, want):
+        code, out, _ = run(capsys, "list", "--cell", "D3,N5max,G4", "--format", fmt)
+        assert (code, out) == (0, want)
 
     def test_bad_cell(self, capsys):
         code, _, err = run(capsys, "list", "--cell", "D2")

@@ -24,12 +24,13 @@ from metricgrid.errors import (
     InsufficientData,
     LogDomain,
     MissingBenchmark,
+    NonFiniteValue,
     UnknownSuite,
     UnknownVariant,
     ValidationError,
     ZeroDenominator,
 )
-from metricgrid.types import BenchmarkInput, Dimension, SeriesPair
+from metricgrid.types import Dimension, SeriesPair
 
 PAIR = SeriesPair([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 5.0, 3.0])
 BENCH = SeriesPair([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 5.0, 2.0])
@@ -114,8 +115,13 @@ class TestMase:
             mase(PAIR, np.array([2.0]))
 
     def test_nonfinite_history_fails(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(NonFiniteValue) as exc:
             mase(PAIR, np.array([1.0, np.nan, 2.0]))
+        assert (exc.value.series, exc.value.index) == ("in-sample history", 1)
+
+    def test_history_of_two_dimensions_fails(self):
+        with pytest.raises(ValidationError, match="in-sample history must be one-dimensional"):
+            mase(PAIR, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 class TestCoefficientOfDetermination:
@@ -288,16 +294,30 @@ class TestSuites:
         assert result.entries[0].error.startswith("MissingBenchmark:")
 
     def test_benchmark_member_with_aux(self):
-        aux = BenchmarkInput(benchmark_pair=BENCH)
-        result = evaluate_suite(PAIR, SuiteDefinition("rel", ("RMAE",)), aux=aux)
+        result = evaluate_suite(PAIR, SuiteDefinition("rel", ("RMAE",)), benchmark=BENCH)
         assert result.entries[0].result.value == pytest.approx(
             F.rmae(PAIR.actuals, PAIR.predicted, BENCH.predicted), rel=1e-12
         )
 
     def test_history_member_with_aux(self):
-        aux = BenchmarkInput(in_sample=np.array([1.0, 3.0, 2.0, 5.0]))
-        result = evaluate_suite(PAIR, SuiteDefinition("scaled", ("MASE",)), aux=aux)
+        result = evaluate_suite(PAIR, SuiteDefinition("scaled", ("MASE",)),
+                                in_sample=np.array([1.0, 3.0, 2.0, 5.0]))
         assert result.entries[0].result.value == pytest.approx(0.5, rel=1e-12)
+
+    def test_benchmark_and_history_serve_one_suite(self):
+        pair = SeriesPair([1, 2, 3, 4], [2, 2, 3, 5])        # MAE 0.5
+        bench = SeriesPair([1, 2, 3, 4], [1, 2, 3, 3])       # MAE 0.25
+        result = evaluate_suite(pair, SuiteDefinition("both", ("RMAE", "MASE")),
+                                benchmark=bench, in_sample=np.array([1.0, 3.0, 2.0, 5.0]))
+        assert [(e.name, e.error) for e in result.entries] == [("RMAE", None), ("MASE", None)]
+        # naive in-sample scale: mean of |2|, |-1|, |3| = 2
+        assert [e.result.value for e in result.entries] == [2.0, 0.25]
+
+    def test_bad_history_member_is_embedded(self):
+        suite = SuiteDefinition("scaled", ("MASE", "MAE"))
+        entries = evaluate_suite(PAIR, suite, in_sample=np.array([1.0, np.inf, np.nan])).entries
+        assert entries[0].error == "NonFiniteValue: non-finite value in in-sample history at index 1"
+        assert entries[1].error is None
 
     def test_extended_and_cod_members_route_correctly(self):
         suite = SuiteDefinition("norm", ("NRMSE_m", "CoD"))

@@ -460,6 +460,21 @@ def test_json_integer_beyond_float_range(tmp_path, array, index):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("array, message", [
+    ('[1, "x", 2]', "actual[1] is not a number: 'x'"),
+    (f"[1, 2, {HUGE}]", "actual[2] is an integer beyond the float range"),
+], ids=["non-number", "oversized"])
+@pytest.mark.parametrize("form", ["array", "object"])
+def test_json_history_gives_one_error_type(tmp_path, array, message, form):
+    """A bad history value is a ParseError with one message, whether the
+    file holds a bare array or an object with the column."""
+    text = array if form == "array" else f'{{"actual": {array}}}'
+    path = write(tmp_path, "history.json", text)
+    with pytest.raises(ParseError) as info:
+        cli.load_series(path, "actual")
+    assert str(info.value) == message
+
+
 def test_json_rejection_before_huge_integer_wins(tmp_path):
     path = write(tmp_path, "in.json", f'{{"actual": [1, "x", {HUGE}], "predicted": [1, 2, 3]}}')
     with pytest.raises(ParseError, match=r"actual\[1\] is not a number: 'x'"):

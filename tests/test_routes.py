@@ -26,7 +26,6 @@ from metricgrid.derived import (
 )
 from metricgrid.errors import MetricError, MissingBenchmark
 from metricgrid.types import (
-    BenchmarkInput,
     EvaluationPolicy,
     LogRatioPolicy,
     SeriesPair,
@@ -116,11 +115,6 @@ def test_every_route_gives_the_same_bits(tmp_path, dataset, policy_name):
     flags, policy = POLICIES[policy_name]
     pair = SeriesPair(data["actual"], data["predicted"])
     bench = SeriesPair(data["actual"], data["benchmark"])
-    aux = {
-        None: None,
-        "benchmark": BenchmarkInput(benchmark_pair=bench),
-        "in-sample history": BenchmarkInput(in_sample=HISTORY),
-    }
     from_cli = cli_outcomes(tmp_path, data, flags)
     assert len(from_cli) == len(MEMBERS)
 
@@ -129,7 +123,7 @@ def test_every_route_gives_the_same_bits(tmp_path, dataset, policy_name):
         defn = registry.lookup(abbr)
         want = outcome(lambda: evaluate_metric(pair, abbr, policy, variant, bench, HISTORY)[0])
         suite = SuiteDefinition("one", (member_label(abbr, variant),))
-        entry = evaluate_suite(pair, suite, aux[defn.requires], policy).entries[0]
+        entry = evaluate_suite(pair, suite, policy, bench, HISTORY).entries[0]
         got = {
             "cli": from_cli[(abbr, variant)],
             "suite": entry.error.split(":")[0] if entry.error else entry.result.value.hex(),
@@ -155,10 +149,9 @@ def library_routes(defn, variant, pair, bench, policy):
     """Every library call that evaluates ``defn`` as ``variant``, by route."""
     abbr = defn.abbreviation
     suite = SuiteDefinition("one", (member_label(abbr, variant),))
-    aux = BenchmarkInput(benchmark_pair=bench, in_sample=HISTORY)
     routes = {
         "evaluate_metric": lambda: evaluate_metric(pair, abbr, policy, variant, bench, HISTORY),
-        "evaluate_suite": lambda: evaluate_suite(pair, suite, aux, policy),
+        "evaluate_suite": lambda: evaluate_suite(pair, suite, policy, bench, HISTORY),
     }
     if defn.category is registry.Category.PRIMARY:
         routes["evaluate_named"] = lambda: registry.evaluate_named(pair, abbr, policy, variant)

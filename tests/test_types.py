@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from metricgrid import (
     Aggregator,
     AggKind,
-    BenchmarkInput,
     EvaluationPolicy,
     MetricComposition,
     NormalizerSpec,
@@ -17,13 +16,11 @@ from metricgrid import (
     PostKind,
     PostTransform,
     SeriesPair,
-    SuiteDefinition,
-    evaluate_suite,
+    mase,
     validate_series_pair,
 )
 from metricgrid.errors import (
     EmptySeries,
-    InsufficientData,
     LengthMismatch,
     NonFiniteValue,
     ValidationError,
@@ -162,11 +159,12 @@ class TestNonFiniteValue:
         assert self.refused([1.0, float("nan")], [float("inf"), 1.0]) == ("actuals", 1)
 
     def test_in_sample_names_the_first_index(self):
+        pair = validate_series_pair([1.0, 2.0], [2.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue) as exc:
-                BenchmarkInput(in_sample=np.array([1.0, 2.0, -float("inf"), float("nan")]))
-        assert (exc.value.series, exc.value.index) == ("in_sample", 2)
+                mase(pair, np.array([1.0, 2.0, -float("inf"), float("nan")]))
+        assert (exc.value.series, exc.value.index) == ("in-sample history", 2)
 
 
 class TestNormalizerSpec:
@@ -234,29 +232,6 @@ class TestPolicyAndComposition:
     def test_cell_property(self):
         comp = MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_ACTUALS))
         assert comp.cell == (Distance.ABSOLUTE_ERROR, NormKind.BY_ACTUALS, AggKind.MEAN)
-
-
-class TestBenchmarkInput:
-    def test_needs_a_source(self):
-        with pytest.raises(ValidationError):
-            BenchmarkInput()
-
-    def test_both_sources_serve_one_suite(self):
-        pair = validate_series_pair([1, 2, 3, 4], [2, 2, 3, 5])        # MAE 0.5
-        bench = validate_series_pair([1, 2, 3, 4], [1, 2, 3, 3])       # MAE 0.25
-        aux = BenchmarkInput(benchmark_pair=bench, in_sample=np.array([1.0, 3.0, 2.0, 5.0]))
-        result = evaluate_suite(pair, SuiteDefinition("both", ("RMAE", "MASE")), aux)
-        assert [(e.name, e.error) for e in result.entries] == [("RMAE", None), ("MASE", None)]
-        # naive in-sample scale: mean of |2|, |-1|, |3| = 2
-        assert [e.result.value for e in result.entries] == [2.0, 0.25]
-
-    def test_in_sample_needs_two_points(self):
-        with pytest.raises(InsufficientData):
-            BenchmarkInput(in_sample=np.array([1.0]))
-
-    def test_in_sample_rejects_nan(self):
-        with pytest.raises(NonFiniteValue):
-            BenchmarkInput(in_sample=np.array([1.0, float("nan")]))
 
 
 class TestSmallestNonzeroActual:
