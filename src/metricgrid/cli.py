@@ -58,7 +58,7 @@ from .types import (
     PostTransform,
     SeriesPair,
     ZeroDenominatorPolicy,
-    ensure_iterable_of_floats,
+    as_series,
     validate_series_pair,
 )
 
@@ -289,24 +289,6 @@ def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     return {c: np.asarray(v, dtype=float) for c, v in data.items()}
 
 
-def _json_floats(values: Any, name: str) -> np.ndarray:
-    """A JSON array as a float vector.
-
-    An array of plain ints and floats converts in one NumPy call; anything
-    else goes element by element, so a rejection names its index.
-    """
-    if set(map(type, values)) <= {int, float}:
-        try:
-            return np.asarray(values, dtype=float)
-        except OverflowError:
-            pass
-    try:
-        return ensure_iterable_of_floats(values, name)
-    except OverflowError:
-        index = next(i for i, v in enumerate(values) if _overflows(v))
-        raise ParseError(f"{name}[{index}] is an integer beyond the float range") from None
-
-
 def _overflows(value: int | float) -> bool:
     try:
         float(value)
@@ -316,12 +298,12 @@ def _overflows(value: int | float) -> bool:
 
 
 def _json_column(path: str, values: Any, key: str) -> np.ndarray:
-    """A JSON array, the column ``key``, as a float vector; a value that is
-    not a number is a ParseError."""
+    """A JSON array, the column ``key``, as a float vector by ``as_series``;
+    a value it refuses is a ParseError with the same text."""
     if not isinstance(values, list):
         raise ParseError(f"{path} key {key!r} must be an array")
     try:
-        return _json_floats(values, key)
+        return as_series(values, key)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
 

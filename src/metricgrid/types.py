@@ -5,7 +5,8 @@ distance, a normalizer, an aggregator and optional transforms.  The types
 here encode those choices as small frozen dataclasses plus a validated
 ``SeriesPair`` holding the data.  Construction implies validity: any
 instance you can obtain satisfies its invariants.  Every series, the
-in-sample history too, passes one rule: ``as_series``, ``finite_range``.
+history and the CLI's JSON arrays too, passes one rule: ``as_series``
+(the only judge of what is a number), ``finite_range``.
 """
 
 from __future__ import annotations
@@ -238,21 +239,47 @@ FAIL_FAST = EvaluationPolicy()
 
 def as_series(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     """``values`` as a one-dimensional float array, not copied when it is one.
-    A value that is not a real number, a ragged list or any other shape is
-    a ValidationError naming the series, never a NumPy error or warning."""
+
+    A number is a Python or NumPy integer or float, never a bool.  A list
+    or tuple is judged value by value, an array by its dtype (an object
+    array value by value): the first value that is not a number, or is an
+    integer beyond the float range, is a ValidationError naming its index.
+    A complex array or any other shape is one naming the series.
+    """
+    if isinstance(values, (list, tuple)):
+        if set(map(type, values)) <= {int, float}:
+            try:
+                return np.asarray(values, dtype=float)
+            except OverflowError:
+                pass
+        return _real_values(values, name)
     try:
         arr = np.asarray(values)
-        if arr.dtype != np.float64:
-            # a cast would drop the imaginary part with a ComplexWarning
-            if np.iscomplexobj(arr) or (arr.dtype == object and any(map(np.iscomplexobj, arr.flat))):
-                raise ValidationError(f"{name} has complex values")
-            with np.errstate(over="ignore"):
-                arr = arr.astype(np.float64)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"{name} is not a series of real numbers: {exc}") from None
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{name} has complex values")
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind not in "fiu":
+        return _real_values(arr, name)
+    if arr.dtype != np.float64:
+        with np.errstate(over="ignore"):        # a longdouble beyond the double range
+            arr = arr.astype(np.float64)
     return arr
+
+
+def _real_values(values: Iterable[Any], name: str) -> np.ndarray:
+    """``as_series`` value by value (``np.timedelta64`` is an ``np.integer``)."""
+    out = []
+    for i, v in enumerate(values):
+        if isinstance(v, (bool, np.timedelta64)) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ValidationError(f"{name}[{i}] is not a number: {v!r}")
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ValidationError(f"{name}[{i}] is an integer beyond the float range") from None
+    return np.array(out)
 
 
 def finite_range(arr: np.ndarray, name: str) -> tuple[float, float]:
@@ -536,13 +563,3 @@ def smallest_nonzero_actual(actuals: np.ndarray) -> float:
     mags = np.abs(actuals)
     smallest = float(np.where(mags > 0, mags, np.inf).min(initial=np.inf))
     return 0.0 if smallest == np.inf else smallest
-
-
-def ensure_iterable_of_floats(values: Iterable[Any], name: str) -> np.ndarray:
-    """Coerce to a float vector, rejecting non-numeric entries."""
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{name}[{i}] is not a number: {v!r}")
-        out.append(float(v))
-    return np.asarray(out, dtype=float)

@@ -4,8 +4,9 @@
 pieces cut at newlines (``cli._table_columns``); it parses any other body
 in one NumPy call (``cli._parse_body``), and re-reads the file with
 ``cli._read_rows`` only when that call cannot give the same result.
-``cli._json_floats`` converts an all-number JSON array in one call and
-walks any other one element by element.  Each fast reader must agree with
+``types.as_series``, the one rule for a series that ``cli._json_column``
+reads a JSON array by, converts an all-number array in one call and walks
+any other one element by element.  Each fast reader must agree with
 the element-by-element one bit for bit, or raise the same error with the
 same text.  A CSV body that orjson would read otherwise than ``float()``
 (``-0``, ``true``, ``01``, ...) must leave the orjson tier.  JSON files
@@ -31,9 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricgrid import cli
-from metricgrid.errors import ParseError
-from metricgrid.types import ensure_iterable_of_floats
+from metricgrid import cli, validate_series_pair
+from metricgrid.derived import evaluate_metric
+from metricgrid.errors import MetricError, ParseError, ValidationError
+from metricgrid.types import as_series
 
 COLUMNS = ["actual", "predicted"]
 
@@ -415,12 +417,23 @@ JSON_ARRAYS = {
 }
 
 
+def element_loop(values, name):
+    """The reference: each value checked and converted on its own."""
+    out = []
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{name}[{i}] is not a number: {v!r}")
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ValidationError(f"{name}[{i}] is an integer beyond the float range") from None
+    return np.asarray(out, dtype=float)
+
+
 @pytest.mark.parametrize("name", sorted(JSON_ARRAYS))
 def test_json_matches_element_loop(name):
     values = JSON_ARRAYS[name]
-    assert outcome(cli._json_floats, values, "actual") == outcome(
-        ensure_iterable_of_floats, values, "actual"
-    )
+    assert outcome(as_series, values, "actual") == outcome(element_loop, values, "actual")
 
 
 @pytest.mark.parametrize(
@@ -473,6 +486,78 @@ def test_json_history_gives_one_error_type(tmp_path, array, message, form):
     with pytest.raises(ParseError) as info:
         cli.load_series(path, "actual")
     assert str(info.value) == message
+
+
+FLOAT_MAX = sys.float_info.max
+real_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, FLOAT_MAX, -FLOAT_MAX]),
+    st.integers(-(2**53) - 2, 2**53 + 2),
+    st.sampled_from([2**53 + 1, -(2**53) - 1, 2**63, -(2**63) - 1, 2**64 + 1]),
+    st.integers(2**63, 2**1023).flatmap(lambda n: st.sampled_from([n, -n])),   # beyond int64
+)
+not_numbers = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1.5", "-0", "2", "1e400", "nan"]),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n])),  # beyond float range
+)
+
+
+@st.composite
+def mixed_values(draw):
+    """A list of real numbers with up to three of its values replaced by
+    ones that are not numbers, or integers beyond the float range."""
+    values = draw(st.lists(real_numbers, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(not_numbers)
+    return values
+
+
+MASE_PAIR = validate_series_pair([1.0, 2.0, 4.0], [2.0, 2.0, 5.0])
+
+
+def bits_or_text(call, error):
+    """("ok", the float bits) of what ``call`` returns, or ("error", the
+    text of the ``error`` it raised)."""
+    try:
+        out = call()
+    except error as exc:
+        return "error", str(exc)
+    return "ok", np.asarray(out, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_values())
+def test_library_and_cli_read_one_number_rule(tmp_path_factory, values):
+    """The library and every JSON reader accept the values the element
+    loop accepts, with the same bits, and refuse the others with its words:
+    a ValidationError in the library, a ParseError in the CLI."""
+    def want(name):
+        return bits_or_text(lambda: element_loop(values, name), ValidationError)
+
+    ones = [1.0] * len(values)
+    for series in (values, tuple(values)):
+        assert bits_or_text(lambda: validate_series_pair(series, ones).actuals,
+                            ValidationError) == want("actuals")
+
+    def mase_value(history):
+        return evaluate_metric(MASE_PAIR, "MASE", in_sample=history)[0].value
+
+    kind, history = want("in-sample history")
+    expected = (bits_or_text(lambda: mase_value(element_loop(values, "")), MetricError)
+                if kind == "ok" else (kind, history))
+    assert bits_or_text(lambda: mase_value(values), MetricError) == expected
+
+    directory = tmp_path_factory.mktemp("mixed")
+    obj = write(directory, "in.json", json.dumps({"actual": values}))
+    bare = write(directory, "history.json", json.dumps(values))
+    for read in (lambda: cli.read_columns_json(obj, ["actual"])["actual"],
+                 lambda: cli.load_series(obj, "actual"),
+                 lambda: cli.load_series(bare, "actual")):
+        assert bits_or_text(read, ParseError) == want("actual")
 
 
 def test_json_rejection_before_huge_integer_wins(tmp_path):
@@ -609,9 +694,9 @@ def number_texts():
 
 
 def json_reference(text, column):
-    """What ``json.loads`` and ``_json_floats`` make of the text: the reference."""
+    """What ``json.loads`` and ``as_series`` make of the text: the reference."""
     payload = json.loads(text)
-    return cli._json_floats(payload if isinstance(payload, list) else payload[column], column)
+    return as_series(payload if isinstance(payload, list) else payload[column], column)
 
 
 @settings(max_examples=300, deadline=None)

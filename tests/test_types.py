@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from metricgrid.errors import (
     NonFiniteValue,
     ValidationError,
 )
-from metricgrid.types import Extremes, smallest_nonzero_actual
+from metricgrid.types import Extremes, as_series, smallest_nonzero_actual
 
 
 class TestSeriesPair:
@@ -125,6 +127,52 @@ class TestSeriesPair:
             assert any(not np.isfinite(v) for v in values)
         else:
             assert np.isfinite(pair.actuals).all()
+
+
+class TestArrayDtype:
+    """An array is judged by its dtype: integer and floating kinds convert
+    as ``astype(float64)`` does, a complex array is refused by name, any
+    other kind at its first element, and an object array is judged
+    element by element."""
+
+    @pytest.mark.parametrize("array, message", [
+        (np.array([True, False]), "actuals[0] is not a number: np.True_"),
+        (np.array(["1", "2"]), "actuals[0] is not a number: np.str_('1')"),
+        (np.array([b"1", b"2"]), "actuals[0] is not a number: np.bytes_(b'1')"),
+        (np.array([1.5, True], dtype=object), "actuals[1] is not a number: True"),
+        (np.array([1.5, "2"], dtype=object), "actuals[1] is not a number: '2'"),
+        (np.array([Fraction(1, 2), Decimal(1)], dtype=object), "actuals[0] is not a number: Fraction(1, 2)"),
+        (np.array([1.5, 2j], dtype=complex), "actuals has complex values"),
+    ], ids=["bool", "str", "bytes", "object-bool", "object-str", "object-fraction", "complex"])
+    def test_refused(self, array, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                validate_series_pair(array, [1.0, 2.0])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_integer_kinds_are_accepted(self, dtype):
+        info = np.iinfo(dtype)
+        array = np.array([info.min, 0, 7, info.max], dtype=dtype)
+        pair = validate_series_pair(array, array)
+        assert pair.actuals.tobytes() == array.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_floating_kinds_are_accepted(self, dtype):
+        info = np.finfo(dtype)
+        array = np.array([-0.0, info.smallest_subnormal, 1, 1e4], dtype=dtype) / dtype(3)
+        pair = validate_series_pair(array, array)
+        assert pair.actuals.tobytes() == array.astype(np.float64).tobytes()
+
+    def test_float64_array_is_not_copied(self):
+        a = np.array([1.0, 2.5])
+        assert as_series(a, "x") is a
+
+    def test_numpy_scalars_in_a_list(self):
+        pair = validate_series_pair((1.0, 2.0), [np.float64(1.5), np.int64(2)])
+        assert pair.predicted.tolist() == [1.5, 2.0]
 
 
 class TestNonFiniteValue:
