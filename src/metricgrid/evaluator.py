@@ -24,10 +24,16 @@ and the all-True one never.  ``normalize`` divides every point
 alike, then applies the policy to the degenerate points alone; it reports
 a base that is not a finite number first, then a zero denominator, then
 every point skipped, and a squared base beyond range last.  The points a
-policy touches are gathered and scattered by index array (``np.compress``
-for the usable values ``aggregate`` reduces), never by a point-length
-boolean mask, and the default epsilon is found once per pair
-(``SeriesPair.smallest_nonzero_actual``), not once per metric.
+policy touches are gathered and scattered by index array, never by a
+point-length boolean mask.  What every metric on a pair meets alike is
+found once per pair, not once per metric: the default epsilon
+(``SeriesPair.smallest_nonzero_actual``), the near-zero actuals that
+are a BY_ACTUALS base's degenerate points, the quotients P/A that are
+not positive normal numbers and the subset whose log is undefined, and
+the mask and index each skip of them leaves usable.  Only BY_ACTUALS
+reads the near-zero set: every other base is computed, so its blocks
+are screened.  ``aggregate`` gathers the usable values by the pair's
+index under such a skip, else by ``np.compress``.
 
 ``SeriesPair`` validation keeps the smallest and largest value of each
 series.  A stage skips a screen of its values (the overflow scan of the
@@ -76,6 +82,7 @@ from .types import (
     PointVector,
     PostKind,
     PostTransform,
+    SMALLEST_NORMAL,
     SeriesPair,
     ZeroDenominatorPolicy,
 )
@@ -85,7 +92,6 @@ SKIP_ZERO_DENOMINATOR = "skipped:zero-denominator"
 EPSILON_CORRECTED = "epsilon-corrected"
 
 _ERROR_DISTANCES = (Distance.ERROR, Distance.ABSOLUTE_ERROR, Distance.SQUARED_ERROR)
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 # reductions whose result lies within the range of the values they reduce
 _SCALABLE = (AggKind.MEAN, AggKind.MEDIAN, AggKind.TRUNCATED_MEAN, AggKind.WINSORIZED_MEAN)
 # points per block of the normalizer base (256 KiB of floats).  A base as
@@ -128,36 +134,35 @@ def point_distances(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         ratio = p / a
     # every quotient positive, and none overflowed or underflowed: proven
-    # from the extremes, else screened (a NaN from 0/0 fails both tests)
+    # from the extremes, else read from the pair's set
     bounds = _ratio_bounds(pair.extremes)
-    proven = bounds is not None and _proven(*bounds, floor=_SMALLEST_NORMAL)
-    if proven or ratio.min() >= _SMALLEST_NORMAL and ratio.max() < np.inf:
-        usable, actions = pair.all_points, NO_ACTIONS
-        values = np.log(ratio, out=ratio)
-    else:
-        # the quotients that are zero, subnormal, inf or NaN, by index
-        abnormal = np.flatnonzero(~((ratio >= _SMALLEST_NORMAL) & (ratio < np.inf)))
-        # P/A is positive exactly when P and A are nonzero and of one sign
-        usable = (a != 0) & (p != 0) & (np.signbit(a) == np.signbit(p))
-        actions = NO_ACTIONS
-        if usable.all():
-            usable = pair.all_points
+    proven = bounds is not None and _proven(*bounds, floor=SMALLEST_NORMAL)
+    usable, actions = None, NO_ACTIONS
+    if not proven and pair.abnormal_quotients.size:
+        # the quotients that are zero, subnormal, negative, inf or NaN, by index
+        abnormal = pair.abnormal_quotients
+        nonpositive = pair.nonpositive_quotients
+        if not nonpositive.size:
+            spilled = abnormal
         elif policy.nonpositive_log_ratio is LogRatioPolicy.FAIL:
-            raise NonpositiveLogRatio(int(np.argmin(usable)))
-        elif not usable.any():
+            raise NonpositiveLogRatio(int(nonpositive[0]))
+        elif nonpositive.size == pair.n:
             raise AllPointsSkipped("every point has a non-positive predicted/actual ratio")
         else:
-            actions = actions.with_run(SKIP_LOG_RATIO, np.flatnonzero(~usable))
+            usable = pair.positive_quotient_points
+            actions = actions.with_run(SKIP_LOG_RATIO, nonpositive)
+            spilled = abnormal[usable.mask[abnormal]]
         ratio[abnormal] = 1.0
         values = np.log(ratio, out=ratio)
         # where the quotient over- or underflowed, the logs are taken apart
-        spilled = abnormal[usable[abnormal]]
         values[spilled] = np.log(np.abs(p[spilled])) - np.log(np.abs(a[spilled]))
+    else:
+        values = np.log(ratio, out=ratio)
     if kind is Distance.ABS_LOG_QUOTIENT:
         np.abs(values, out=values)
-    if usable is pair.all_points:
+    if usable is None:
         return PointVector.every_point(values, pair)
-    return PointVector(values, usable, actions)
+    return PointVector.of_usable(values, usable, actions)
 
 
 def _proven(lo: float, hi: float, *, floor: float = -math.inf, square: bool = False) -> bool:
@@ -345,27 +350,41 @@ def _normalize(
     """``normalize`` for a base other than UNITARY, with floating-point
     errors ignored.  Where the pair's extremes prove that the base is
     finite and clear of zero, and its square finite, the blocks are only
-    built and divided: no screen of them could find anything."""
+    built and divided: no screen of them could find anything.  A
+    BY_ACTUALS base is the pair's own finite actuals, so its blocks are
+    screened for a square beyond range alone, and its near-zero points
+    are the pair's ``near_zero_actuals``."""
     n = points.n
     center = float(pair.actuals.mean()) if spec.kind is NormKind.BY_VARIABILITY else 0.0
-    proven = _proven(*_base_bounds(pair.extremes, spec, center),
-                     floor=-math.inf if spec.exponent == -1 else NEAR_ZERO, square=spec.exponent == 2)
+    bounds = _base_bounds(pair.extremes, spec, center)
+    divides = spec.exponent != -1
+    own = spec.kind is NormKind.BY_ACTUALS
+    proven = _proven(*bounds, floor=NEAR_ZERO if divides and not own else -math.inf,
+                     square=spec.exponent == 2)
     if out is None:
         out = np.empty(n)
     buf = np.empty(min(n, _BLOCK))
-    op = np.multiply if spec.exponent == -1 else np.divide
+    op = np.divide if divides else np.multiply
     corrects = policy.zero_denominator is ZeroDenominatorPolicy.EPSILON
     hits: list[np.ndarray] = []  # the degenerate usable points, block by block
     numerators: list[np.ndarray] = []  # their values under epsilon, before ``out`` may overwrite them
     overflows: list[int] = []  # first points whose squared base is beyond range
+    if own and divides and not _proven(*bounds, floor=NEAR_ZERO):
+        at = pair.near_zero_actuals
+        if not points.clean:
+            at = at[points.usable[at]]
+        if at.size:
+            hits.append(at)
+            if corrects:
+                numerators.append(points.values[at])
 
     for start in range(0, n, _BLOCK):
         part = slice(start, min(start + _BLOCK, n))
         base = _normalizer_base(pair, spec, center, part, buf[:part.stop - start])
         values = points.values[part]
-        if not proven:
+        if not (proven or own):
             lo, hi = _extremes(base, start)
-            degenerate = None if spec.exponent == -1 else _near_zero(base, points.usable[part], lo, hi)
+            degenerate = _near_zero(base, points.usable[part], lo, hi) if divides else None
             if degenerate is not None:
                 at = np.flatnonzero(degenerate)  # an index array gathers faster than a mask
                 hits.append(at + start)
@@ -379,13 +398,18 @@ def _normalize(
         _scaled(op, values, spec.factor, base, out[part])
 
     usable, actions = points.usable, points.actions
+    skip = None  # the pair's cached skip, when it skips exactly the near-zero actuals
     if hits:
         degenerate = np.concatenate(hits)
         if policy.zero_denominator is ZeroDenominatorPolicy.FAIL:
             raise ZeroDenominator(int(degenerate[0]))
         if policy.zero_denominator is ZeroDenominatorPolicy.SKIP:
-            usable = usable.copy()
-            usable[degenerate] = False
+            if own and points.clean:
+                skip = pair.nonzero_actual_points
+                usable = skip.mask
+            else:
+                usable = usable.copy()
+                usable[degenerate] = False
             out[degenerate] = 0.0 * spec.factor
             actions = actions.with_run(SKIP_ZERO_DENOMINATOR, degenerate)
             if not usable.any():
@@ -411,8 +435,10 @@ def _normalize(
             actions = actions.with_run(EPSILON_CORRECTED, degenerate)
     if overflows:
         raise NormalizerOverflow(min(overflows))
-    if spec.exponent != -1 and not points.clean:
+    if divides and not points.clean:
         out[np.flatnonzero(~points.usable)] = 0.0 * spec.factor
+    if skip is not None:
+        return PointVector.of_usable(out, skip, actions)
     if usable is points.usable:
         return points.with_values(out, actions)
     return PointVector(out, usable, actions)
@@ -514,7 +540,7 @@ def _reduce(v: np.ndarray, aggregator: Aggregator, overwrite: bool) -> float:
             raise GeometricMeanDomain()
         with np.errstate(under="ignore"):
             product = _product(v)
-        if _SMALLEST_NORMAL <= product < np.inf:
+        if SMALLEST_NORMAL <= product < np.inf:
             return float(product ** (1.0 / m))
         # the running product left the normal range (a subnormal keeps too
         # few digits); the log form cannot

@@ -31,6 +31,8 @@ from .errors import (
 
 # Denominators with magnitude below this are treated as zero.
 NEAR_ZERO = 1e-12
+# The smallest positive normal double; a log quotient below it is abnormal.
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class Distance(Enum):
@@ -249,7 +251,7 @@ def as_series(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     if isinstance(values, (list, tuple)):
         if set(map(type, values)) <= {int, float}:
             try:
-                return np.asarray(values, dtype=float)
+                return np.fromiter(values, float, len(values))
             except OverflowError:
                 pass
         return _real_values(values, name)
@@ -294,9 +296,28 @@ def finite_range(arr: np.ndarray, name: str) -> tuple[float, float]:
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only copy."""
-    arr = arr.copy()
+    return _read_only(arr.copy())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, an array nothing else holds, made read-only."""
     arr.setflags(write=False)
     return arr
+
+
+class Usable(NamedTuple):
+    """The points a skip leaves usable: a read-only mask, and the
+    read-only index of its True positions."""
+
+    mask: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def without(cls, skipped: np.ndarray, n: int) -> "Usable":
+        """Every one of ``n`` points but those at the index ``skipped``."""
+        mask = np.ones(n, dtype=bool)
+        mask[skipped] = False
+        return cls(_read_only(mask), _read_only(np.flatnonzero(mask)))
 
 
 class Extremes(NamedTuple):
@@ -315,8 +336,14 @@ class SeriesPair:
     ``extremes`` holds the smallest and largest value of each series,
     found by the validation pass, so later stages can bound what they
     compute without scanning the series again.
-    ``smallest_nonzero_actual``, the default epsilon, is found once per
-    pair, on first use.
+    ``smallest_nonzero_actual``, the default epsilon, and the degenerate
+    points that every metric on the pair meets alike are found once per
+    pair, on first use: ``near_zero_actuals`` (the zero bases of BY_ACTUALS),
+    ``abnormal_quotients`` and their subset ``nonpositive_quotients`` (the
+    log quotients), and the points each skip leaves usable
+    (``nonzero_actual_points``, ``positive_quotient_points``).  They are
+    read-only index arrays and bool masks; no float array is kept.  The
+    evaluator reads a set only where ``extremes`` cannot prove it empty.
     """
 
     actuals: np.ndarray
@@ -342,14 +369,50 @@ class SeriesPair:
     @cached_property
     def all_points(self) -> np.ndarray:
         """Read-only all-True mask, shared by every clean PointVector of the pair."""
-        mask = np.ones(self.n, dtype=bool)
-        mask.setflags(write=False)
-        return mask
+        return _read_only(np.ones(self.n, dtype=bool))
 
     @cached_property
     def smallest_nonzero_actual(self) -> float:
         """Smallest nonzero |actual|; 0.0 when every actual is zero."""
         return smallest_nonzero_actual(self.actuals)
+
+    @cached_property
+    def near_zero_actuals(self) -> np.ndarray:
+        """Read-only index of the actuals with |A| < NEAR_ZERO."""
+        a = self.actuals
+        near = a < NEAR_ZERO
+        near &= a > -NEAR_ZERO
+        return _read_only(np.flatnonzero(near))
+
+    @cached_property
+    def abnormal_quotients(self) -> np.ndarray:
+        """Read-only index of the points where P/A is not a positive normal
+        number: zero, subnormal, negative, inf or NaN."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            ratio = self.predicted / self.actuals
+        normal = ratio >= SMALLEST_NORMAL
+        normal &= ratio < np.inf
+        return _read_only(np.flatnonzero(np.logical_not(normal, out=normal)))
+
+    @cached_property
+    def nonpositive_quotients(self) -> np.ndarray:
+        """Read-only index of the points where P/A is not positive, so its
+        log is undefined: A or P is zero, or their signs differ.  Each is
+        an abnormal quotient, so only those are tested."""
+        at = self.abnormal_quotients
+        a, p = self.actuals[at], self.predicted[at]
+        positive = (a != 0) & (p != 0) & (np.signbit(a) == np.signbit(p))
+        return _read_only(at[~positive])
+
+    @cached_property
+    def nonzero_actual_points(self) -> Usable:
+        """The points left when the near-zero actuals are skipped."""
+        return Usable.without(self.near_zero_actuals, self.n)
+
+    @cached_property
+    def positive_quotient_points(self) -> Usable:
+        """The points left when the non-positive quotients are skipped."""
+        return Usable.without(self.nonpositive_quotients, self.n)
 
     def swapped(self) -> "SeriesPair":
         """Pair with the roles of actual and predicted exchanged."""
@@ -471,6 +534,8 @@ class PointVector:
     values: np.ndarray
     usable: np.ndarray
     actions: ActionLog = NO_ACTIONS
+    # read-only positions of the usable points, when a pair's cached skip gave them
+    usable_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.actions = ActionLog.of(self.actions)
@@ -487,6 +552,15 @@ class PointVector:
         points.n_usable = pair.n
         return points
 
+    @classmethod
+    def of_usable(cls, values: np.ndarray, usable: Usable, actions: ActionLog) -> "PointVector":
+        """A vector under one of its pair's cached skips: its usable count
+        and index are the skip's, not counted or searched."""
+        points = cls(values, usable.mask, actions)
+        points.n_usable = usable.index.size
+        points.usable_index = usable.index
+        return points
+
     @cached_property
     def n_usable(self) -> int:
         """Usable points, counted once per vector: ``usable`` is not
@@ -495,10 +569,12 @@ class PointVector:
 
     def with_values(self, values: np.ndarray, actions: ActionLog | None = None) -> "PointVector":
         """``values`` under this vector's mask, and its actions unless
-        ``actions`` is given; the usable count, once known, carries over."""
+        ``actions`` is given; the usable count and index, once known,
+        carry over."""
         points = PointVector(values, self.usable, self.actions if actions is None else actions)
         if "n_usable" in self.__dict__:
             points.n_usable = self.n_usable
+        points.usable_index = self.usable_index
         return points
 
     @property
@@ -508,9 +584,14 @@ class PointVector:
 
     def usable_values(self) -> np.ndarray:
         """Values of the usable points: ``values`` itself when the vector
-        is clean, so the caller must not write to it, else a new array
-        (gathered by ``np.compress``, which is faster than a mask index)."""
-        return self.values if self.clean else np.compress(self.usable, self.values)
+        is clean, so the caller must not write to it, else a new array,
+        gathered by ``usable_index`` when it is known, else by
+        ``np.compress`` (searching an index first would cost more)."""
+        if self.clean:
+            return self.values
+        if self.usable_index is not None:
+            return self.values.take(self.usable_index)
+        return np.compress(self.usable, self.values)
 
 
 @dataclass(frozen=True)

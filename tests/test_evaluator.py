@@ -32,6 +32,8 @@ from metricgrid import (
 from metricgrid import evaluator
 from metricgrid.derived import evaluate_metric
 from metricgrid.evaluator import (
+    SKIP_LOG_RATIO,
+    SKIP_ZERO_DENOMINATOR,
     aggregate,
     apply_point_transform,
     dimension_of,
@@ -389,7 +391,7 @@ class TestUsableCount:
     """A stage that keeps its input's mask carries its usable count over,
     and a clean vector from ``point_distances`` has it from the pair, so
     ``np.count_nonzero`` runs once per mask the policy builds and never on
-    clean data."""
+    clean data.  A pair's cached skip is counted by its index, never."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -411,19 +413,35 @@ class TestUsableCount:
         assert sizes == []
         assert set(skipped.values()) == {0}
 
-    @pytest.mark.parametrize("comp, skipped", [
-        # the log distances build the mask; normalize and the transform keep it
+    @pytest.mark.parametrize("comp, skipped, counts", [
+        # the log distances take the pair's mask; normalize and the transform keep it
         (MetricComposition(Distance.ABS_LOG_QUOTIENT, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True),
-                           transform=PointTransform.TIMES_PREDICTED), 2),
-        # normalize builds the mask from a clean distance vector
+                           transform=PointTransform.TIMES_PREDICTED), 2, []),
+        # normalize takes the pair's mask of nonzero actuals
         (MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_ACTUALS, absolute=True),
-                           transform=PointTransform.TIMES_PREDICTED), 1),
-    ], ids=["log-skip", "zero-skip"])
-    def test_a_built_mask_is_counted_once(self, monkeypatch, comp, skipped):
+                           transform=PointTransform.TIMES_PREDICTED), 1, []),
+        # normalize builds the mask of a base that is not a series of the pair
+        (MetricComposition(Distance.ABSOLUTE_ERROR, NormalizerSpec(NormKind.BY_SUM),
+                           transform=PointTransform.TIMES_PREDICTED), 1, [4]),
+    ], ids=["log-skip", "zero-skip", "sum-skip"])
+    def test_a_built_mask_is_counted_once(self, monkeypatch, comp, skipped, counts):
         pair = validate_series_pair([0.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.5, 5.0])
         policy = EvaluationPolicy(ZeroDenominatorPolicy.SKIP, LogRatioPolicy.SKIP)
         sizes = self.counted(monkeypatch)
         assert evaluate(pair, comp, policy).points_skipped == skipped
+        assert sizes == counts
+
+    def test_a_mask_built_from_the_pairs_is_counted_once(self, monkeypatch):
+        # a near-zero actual whose quotient is positive: normalize copies
+        # the pair's log mask and skips that point too
+        pair = validate_series_pair([0.0, 1e-13, 3.0, 4.0], [1.0, 2e-13, -3.5, 5.0])
+        comp = MetricComposition(Distance.ABS_LOG_QUOTIENT, NormalizerSpec(NormKind.BY_ACTUALS))
+        policy = EvaluationPolicy(ZeroDenominatorPolicy.SKIP, LogRatioPolicy.SKIP)
+        sizes = self.counted(monkeypatch)
+        result = evaluate(pair, comp, policy)
+        assert result.points_skipped == 3
+        assert [(label, idx.tolist()) for label, idx in result.actions.runs] == \
+            [(SKIP_LOG_RATIO, [0, 2]), (SKIP_ZERO_DENOMINATOR, [1])]
         assert sizes == [4]
 
 

@@ -1,6 +1,7 @@
 """The points a policy touches, handled by index: the usable-value gather,
-the default epsilon kept on the pair, the geometric mean's blocked
-product, and the degenerate sets of a pair longer than one block."""
+the default epsilon and the degenerate sets kept on the pair, the
+geometric mean's blocked product, and the degenerate sets of a pair
+longer than one block."""
 
 import json
 import math
@@ -8,8 +9,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metricgrid import cli, evaluator, registry, types
+from metricgrid import cli, derived, evaluator, registry, types
 from metricgrid.errors import MetricError
 from metricgrid.evaluator import SKIP_LOG_RATIO, SKIP_ZERO_DENOMINATOR, EPSILON_CORRECTED
 from metricgrid.types import (
@@ -252,3 +255,147 @@ def test_a_pair_past_one_block_agrees_with_the_oracle(long_pair, abbr, variant, 
     assert result.points_skipped == skipped
     assert [(label, idx.tolist()) for label, idx in result.actions.runs] == \
         [(label, idx.tolist()) for label, idx in runs]
+
+
+# --- degenerate sets kept on the pair ---------------------------------
+
+PAIR_SETS = ("near_zero_actuals", "abnormal_quotients", "nonpositive_quotients",
+             "nonzero_actual_points", "positive_quotient_points")
+SETS_METRICS = "MAPE,MdAPE,MARE,MNB,MSPE,RMSPE,NCSD,MdLAR,MdSA,MNAFE"
+LOG_NAMES = {"MdLAR", "MdSA", "MNAFE"}
+
+# zeros of both signs, nonzero values below NEAR_ZERO, subnormals, the
+# edges of the normal range, and magnitudes whose quotients over- or
+# underflow, of either sign
+special_value = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-13, -1e-13,
+    1e-12, -1e-12, 1.0, -1.0, 2.5, 1e300, -1e300, 1.7976931348623157e308, -1e308,
+])
+pair_value = st.one_of(special_value, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def degenerate_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    a = draw(st.lists(pair_value, min_size=n, max_size=n))
+    p = draw(st.lists(pair_value, min_size=n, max_size=n))
+    return SeriesPair(a, p)
+
+
+def screened_sets(pair):
+    """Each pair set as the screen it replaces works it out, from A and P
+    at every point."""
+    a, p = pair.actuals, pair.predicted
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        ratio = p / a
+    nonzero = ~(np.abs(a) < NEAR_ZERO)
+    positive = (a != 0) & (p != 0) & (np.signbit(a) == np.signbit(p))
+    return {
+        "near_zero_actuals": np.flatnonzero(~nonzero),
+        "abnormal_quotients": np.flatnonzero(~((ratio >= np.finfo(float).tiny) & (ratio < np.inf))),
+        "nonpositive_quotients": np.flatnonzero(~positive),
+        "nonzero_actual_points": (nonzero, np.flatnonzero(nonzero)),
+        "positive_quotient_points": (positive, np.flatnonzero(positive)),
+    }
+
+
+def cached_arrays(pair):
+    """Every array the pair sets hold, built now if not yet."""
+    out = []
+    for name in PAIR_SETS:
+        value = getattr(pair, name)
+        out += [value] if isinstance(value, np.ndarray) else [value.mask, value.index]
+    return out
+
+
+def assert_sets_are_screens(pair):
+    want = screened_sets(pair)
+    for name in PAIR_SETS:
+        got = getattr(pair, name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.intp and got.tolist() == want[name].tolist(), name
+        else:
+            mask, index = want[name]
+            assert got.mask.dtype == bool and got.mask.tolist() == mask.tolist(), name
+            assert got.index.dtype == np.intp and got.index.tolist() == index.tolist(), name
+
+
+class TestPairSets:
+    @given(degenerate_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_each_set_equals_its_screen(self, pair):
+        assert_sets_are_screens(pair)
+        assert set(pair.nonpositive_quotients) <= set(pair.abnormal_quotients)
+
+    @given(degenerate_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_every_cached_array_refuses_writes(self, pair):
+        for arr in cached_arrays(pair):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    @given(degenerate_pairs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_derived_pair_builds_its_own_sets(self, pair, data):
+        cached_arrays(pair)
+        other = data.draw(st.lists(pair_value, min_size=pair.n, max_size=pair.n))
+        others = [pair.with_predicted(other), pair.swapped()]
+        k = data.draw(st.sampled_from([-1.0, 2.0, 1e-200, 1e200]))
+        try:
+            with np.errstate(over="ignore"):
+                others.append(pair.scaled(k))
+        except MetricError:
+            pass                                # a product beyond the float range
+        for new in others:
+            assert not set(PAIR_SETS) & set(new.__dict__)
+            assert_sets_are_screens(new)
+
+    @pytest.mark.parametrize("zero, built", [
+        ("skip", PAIR_SETS),
+        # an epsilon corrects the near-zero actuals, so nothing skips them
+        ("epsilon", tuple(name for name in PAIR_SETS if name != "nonzero_actual_points")),
+    ])
+    def test_an_eval_builds_each_pair_set_once(self, monkeypatch, tmp_path, capsys, zero, built):
+        calls = []
+        for name in PAIR_SETS:
+            prop = SeriesPair.__dict__[name]
+
+            def counted(pair, build=prop.func, name=name):
+                calls.append(name)
+                return build(pair)
+
+            monkeypatch.setattr(prop, "func", counted)
+        path = tmp_path / "degenerate.csv"
+        path.write_text("actual,predicted\n0,1\n2,2.5\n-4,-5\n-0,3\n8,-7\n3,0\n1e-13,2\n")
+        argv = ["eval", "--input", str(path), "--metrics", SETS_METRICS,
+                "--on-zero-denominator", zero, "--on-nonpositive-log", "skip"]
+        if zero == "epsilon":
+            argv += ["--epsilon", "0.5"]        # the smallest |A|, 1e-13, would leave a zero base
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [entry["name"] for entry in report["metrics"]] == SETS_METRICS.split(",")
+        skipped = {entry["name"]: entry["points_skipped"] for entry in report["metrics"]}
+        assert skipped == {name: 4 if name in LOG_NAMES else 3 * (zero == "skip")
+                           for name in SETS_METRICS.split(",")}
+        assert sorted(calls) == sorted(built)
+
+    def test_a_clean_pair_builds_none(self):
+        """``extremes`` proves every set empty on a strictly positive pair,
+        so no catalog name, under any policy, builds one."""
+        pair = SeriesPair([1.0, 2.0, 3.0, 4.0, 6.0], [1.5, 2.5, 2.5, 4.5, 6.5])
+        benchmark = pair.with_predicted([1.2, 1.8, 3.3, 3.9, 5.5])
+        history = np.array([1.0, 3.0, 2.0, 4.0])
+        policies = [EvaluationPolicy(zero, LogRatioPolicy.SKIP) for zero in ZeroDenominatorPolicy]
+        evaluated = 0
+        for d in registry.list_metrics():
+            if not d.implemented:
+                continue
+            for variant in (None, *d.variants):
+                for policy in policies:
+                    derived.evaluate_metric(pair, d.abbreviation, policy, variant,
+                                            benchmark=benchmark, in_sample=history)
+                    evaluated += 1
+        assert evaluated > 150
+        for p in (pair, benchmark):
+            assert not set(PAIR_SETS) & set(p.__dict__)
