@@ -16,6 +16,11 @@ the pipeline.  Every JSON output (the report, ``list --format json`` and
 delimited one (``eval``, ``list`` and ``chart``) goes through
 ``csv.writer``, so a field holding a comma is quoted.
 
+Every number ``eval`` parses from a file, CSV or JSON, becomes a float64
+array through ``types.pack_floats``.  A CSV table that orjson reads one
+piece at a time is packed column by column, each selected column into
+its own buffer, and is never held as a table.
+
 An ``eval`` report lists at most ``ACTIONS_LISTED`` policy actions per
 metric, the first ones taken; an entry with more also carries
 ``action_counts``, every action counted by label.  The full list stays
@@ -29,6 +34,7 @@ import codecs
 import csv
 import functools
 import json
+import os
 import re
 import sys
 import warnings
@@ -59,6 +65,7 @@ from .types import (
     SeriesPair,
     ZeroDenominatorPolicy,
     as_series,
+    pack_floats,
     validate_series_pair,
 )
 
@@ -162,9 +169,9 @@ def _line_chunks(fh, size: int):
         yield piece
 
 
-def _table_piece(piece: bytes, width: int) -> np.ndarray | None:
-    """The rows of one piece as a float table, or None where it may not be
-    a plain numeric table.
+def _table_piece(piece: bytes, width: int) -> list[int | float] | None:
+    """The numbers of one piece, row after row in one flat list, or None
+    where it may not be a plain numeric table.
 
     Once each CRLF is made an LF, the piece's skeleton must be ``width - 1``
     commas and an LF per line, the last line's LF only if the piece has
@@ -191,7 +198,7 @@ def _table_piece(piece: bytes, width: int) -> np.ndarray | None:
     # the regex can only match at a "-", which one memchr rules out
     if len(values) != rows * width or b"-" in piece and _INT_MINUS_ZERO.search(piece):
         return None
-    return np.fromiter(values, float, len(values)).reshape(-1, width)
+    return values
 
 
 def _table_columns(
@@ -199,18 +206,42 @@ def _table_columns(
 ) -> dict[str, np.ndarray] | None:
     """The named columns of a body that is a plain numeric table, parsed by
     orjson one piece at a time (``_table_piece``); None where any piece may
-    not be one, or the body is empty."""
-    kept: dict[str, list[np.ndarray]] = {c: [] for c in columns}
+    not be one, or the body is empty.
+
+    Each selected column's stride of a piece's numbers is packed by
+    ``pack_floats`` into that column's own float64 buffer, after the rows
+    already there, so no piece is held as a table and no column is ever
+    held twice.  A buffer that a piece overruns is copied into one that
+    holds the rows of the whole file at the bytes per row seen so far, or
+    half as many again as it held, plus the piece's rows.  On a file of
+    even rows that is one allocation per column; the unused end is cut
+    off once the body is read.
+    """
+    width = len(header)
+    size = os.fstat(fh.fileno()).st_size
+    index = {c: header.index(c) for c in columns}
+    buffers = {c: np.empty(0) for c in index}
+    rows = seen = 0
     for piece in _line_chunks(fh, _CHUNK):
-        table = _table_piece(piece, len(header))
-        if table is None:
+        values = _table_piece(piece, width)
+        if values is None:
             return None
-        for c in kept:
-            kept[c].append(table[:, header.index(c)].copy())
-    if not any(kept.values()):
+        count = len(values) // width
+        seen += len(piece)
+        end = rows + count
+        for c, i in index.items():
+            buffer = buffers[c]
+            if end > buffer.size:
+                grown = np.empty(max(end * size // seen, buffer.size * 3 // 2) + count)
+                grown[:rows] = buffer[:rows]
+                buffers[c] = buffer = grown
+            buffer[rows:end] = pack_floats(values[i::width], c)
+        rows = end
+    if not rows:
         return None
-    # one column at a time, each freeing its pieces, so the table is never held twice
-    return {c: np.concatenate(kept.pop(c)) for c in list(kept)}
+    for buffer in buffers.values():
+        buffer.resize(rows, refcheck=False)     # in place: no view of it is left
+    return buffers
 
 
 def _parse_body(fh) -> np.ndarray | None:
@@ -237,13 +268,15 @@ def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]
     is parsed by orjson in pieces (``_table_columns``); each piece's
     skeleton, what is left once every CRLF is an LF and every number byte
     and blank is deleted, must be ``len(header) - 1`` commas and an LF
-    per line (``_table_piece``).  Any other body is parsed in one NumPy
-    call (``_parse_body``): quoted fields, ``-0``, ``nan``/``inf``,
-    ``+1``, ``.5`` or ``01``, blank lines, CR-only line ends, rows longer
-    than the header.  A file NumPy rejects, or whose
-    rows are shorter than the header, is read again row by row
-    (``_read_rows``), which gives the line-numbered error.  A leading UTF-8
-    byte-order mark is dropped; bytes that are not UTF-8 are a ParseError.
+    per line (``_table_piece``), and each selected column is packed from
+    the piece's numbers into its own float64 buffer, so the table is never
+    held twice.  Any other body is parsed in one NumPy call
+    (``_parse_body``): quoted fields, ``-0``, ``nan``/``inf``, ``+1``,
+    ``.5`` or ``01``, blank lines, CR-only line ends, rows longer than the
+    header.  A file NumPy rejects, or whose rows are shorter than the
+    header, is read again row by row (``_read_rows``), which gives the
+    line-numbered error.  A leading UTF-8 byte-order mark is dropped;
+    bytes that are not UTF-8 are a ParseError.
     """
     try:
         with _open(path, "rb") as fh:
@@ -278,15 +311,15 @@ def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
                 continue
             if len(row) < len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
-            for c in columns:
-                raw = row[idx[c]].strip()
+            for c, i in idx.items():   # a column selected twice is read once
+                raw = row[i].strip()
                 try:
                     data[c].append(float(raw))
                 except ValueError:
                     raise ParseError(
                         f"column {c!r} has a non-numeric value {raw!r}", line=line_no
                     ) from None
-    return {c: np.asarray(v, dtype=float) for c, v in data.items()}
+    return {c: pack_floats(v, c) for c, v in data.items()}
 
 
 def _overflows(value: int | float) -> bool:

@@ -1,4 +1,5 @@
-"""Every module the package imports is declared or comes with Python."""
+"""Every module the package imports is declared or comes with Python, and
+parsed numbers reach an array by one route."""
 
 import ast
 import re
@@ -58,3 +59,17 @@ def test_imports_are_at_module_level(path):
     # a lazy import would let a module reach one layered above it (say,
     # registry reaching derived) without the cycle showing at import time
     assert function_imports(path) == []
+
+
+def fromiter_calls(path: Path) -> list[int]:
+    """The line of every call to a function named ``fromiter``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and "fromiter" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_second_route_from_numbers_to_an_array(path):
+    # types.pack_floats packs every list of parsed numbers; np.fromiter
+    # would be a second conversion with its own speed and error
+    assert fromiter_calls(path) == []

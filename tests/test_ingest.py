@@ -5,8 +5,8 @@ pieces cut at newlines (``cli._table_columns``); it parses any other body
 in one NumPy call (``cli._parse_body``), and re-reads the file with
 ``cli._read_rows`` only when that call cannot give the same result.
 ``types.as_series``, the one rule for a series that ``cli._json_column``
-reads a JSON array by, converts an all-number array in one call and walks
-any other one element by element.  Each fast reader must agree with
+reads a JSON array by, packs an all-number array by ``types.pack_floats``
+and checks any other one element by element.  Each fast reader must agree with
 the element-by-element one bit for bit, or raise the same error with the
 same text.  A CSV body that orjson would read otherwise than ``float()``
 (``-0``, ``true``, ``01``, ...) must leave the orjson tier.  JSON files
@@ -21,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import timeit
 import tracemalloc
 import warnings
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 from metricgrid import cli, validate_series_pair
 from metricgrid.derived import evaluate_metric
 from metricgrid.errors import MetricError, ParseError, ValidationError
-from metricgrid.types import as_series
+from metricgrid.types import _PACK_BLOCK, as_series, pack_floats
 
 COLUMNS = ["actual", "predicted"]
 
@@ -172,6 +173,13 @@ def test_fallback_accepts_what_float_accepts(tmp_path):
     assert data["predicted"].tolist() == [2.0]
 
 
+
+def test_row_reader_reads_a_column_selected_twice_once(tmp_path, capsys):
+    # the benchmark column is the actuals; the unselected note sends the body to the row reader
+    path = write(tmp_path, "in.csv", BODIES["non-numeric-unselected"])
+    assert cli._read_rows(path, ["actual", "predicted", "actual"])["actual"].tolist() == [1.0]
+    assert cli.main(["eval", "--input", path, "--benchmark", "actual", "--metrics", "MAE"]) == 0
+
 @pytest.mark.parametrize("name", ["header-only", "header-only-no-newline", "blank-body"])
 def test_empty_body_gives_empty_columns_and_no_warning(tmp_path, name):
     path = write(tmp_path, "in.csv", BODIES[name])
@@ -269,6 +277,32 @@ def test_chunk_edges_anywhere_parse_as_row_reader(tmp_path_factory, rows, ends, 
             patch.setattr(cli, "_read_rows", refuse)
             assert outcome(cli.read_columns_csv, path, COLUMNS) == want
 
+
+
+def plain_texts():
+    """Number texts the orjson tier must take (``plain_number``)."""
+    return st.one_of(json_float_texts(), st.integers(-(2**64) - 3000, 2**64 + 3000).map(str)).filter(
+        plain_number)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 8), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.integers(1, 64))
+def test_any_column_selection_parses_as_row_reader(tmp_path_factory, data, width, end, final, chunk):
+    # each selected column is its own stride of a piece's numbers: any
+    # width, any order, and one column selected twice (--actual x --predicted x)
+    header = [f"c{i}" for i in range(width)]
+    rows = data.draw(st.lists(st.lists(plain_texts(), min_size=width, max_size=width),
+                              min_size=1, max_size=20))
+    columns = data.draw(st.lists(st.sampled_from(header), min_size=1, max_size=4))
+    text = ",".join(header) + "".join(end + ",".join(row) for row in rows) + (end if final else "")
+    path = write(tmp_path_factory.mktemp("strides"), "in.csv", text)
+    want = outcome(cli._read_rows, path, columns)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        patch.setattr(cli, "_parse_body", refuse)
+        patch.setattr(cli, "_read_rows", refuse)
+        assert outcome(cli.read_columns_csv, path, columns) == want
 
 TABLE_ALPHABET = "0123456789,.-+eE \t\r\nx"
 TABLE_TOKENS = ["0", "1", "25", "-0", "-1.5", "2.5e-05", "1E5", "-", "+", ".", "e",
@@ -374,6 +408,43 @@ def test_orjson_tier_allocates_no_more_than_loadtxt(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_table_columns", lambda *args: None)
     loadtxt = ingest_peak(path, columns)
     assert tier <= 1.10 * loadtxt, (tier, loadtxt)
+
+
+
+def test_orjson_tier_holds_no_column_twice(tmp_path):
+    # Measured: a 2.52 MiB peak for 2.29 MiB of columns, against a bound
+    # of 2.60 MiB.  Holding each piece's column copies until one
+    # concatenation per column held a column twice: 3.13 MiB.  Beyond the
+    # columns go one piece's rows of room in each buffer, and a piece's
+    # bytes, their joined copy and its orjson list of floats, about eight
+    # times the piece's size.
+    _, path = float_table_csv(tmp_path, 100_000, seed=3)
+    columns = ["actual", "predicted", "benchmark"]
+    ingest_peak(path, columns)  # imports and caches settle before measuring
+    peak = ingest_peak(path, columns)
+    held = sum(column.nbytes for column in cli.read_columns_csv(path, columns).values())
+    assert peak <= held + 10 * cli._CHUNK, (peak / 2**20, held / 2**20)
+
+
+def test_pipe_with_no_size_reads_as_row_reader(tmp_path, monkeypatch):
+    # a pipe's size reads 0, so the buffers grow piece by piece from nothing;
+    # a pipe cannot be read twice, so the body must stay in the orjson tier
+    text = "actual,predicted\n" + "".join(f"{i}.5,{-i}e-3\n" for i in range(20_000))
+    want = outcome(cli._read_rows, write(tmp_path, "plain.csv", text), COLUMNS)
+    monkeypatch.setattr(cli, "_parse_body", refuse)
+    monkeypatch.setattr(cli, "_read_rows", refuse)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    read = {}
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    reader = threading.Thread(
+        target=lambda: read.update(cli.read_columns_csv(str(fifo), COLUMNS)), daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=60)
+    writer.join(timeout=60)
+    assert not reader.is_alive() and not writer.is_alive()
+    assert outcome(lambda: read) == want
 
 
 def test_benchmark_pair_shares_the_checked_actuals(tmp_path):
@@ -559,6 +630,36 @@ def test_library_and_cli_read_one_number_rule(tmp_path_factory, values):
                  lambda: cli.load_series(bare, "actual")):
         assert bits_or_text(read, ParseError) == want("actual")
 
+
+
+pack_numbers = st.one_of(
+    real_numbers,
+    st.sampled_from([2**63 - 1, 2**63 + 1, -(2**63), 2**64 - 1, 2**64, -(2**64) - 1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pack_numbers, min_size=1, max_size=16),
+       st.sampled_from([0, 1, _PACK_BLOCK - 1, _PACK_BLOCK, _PACK_BLOCK + 1, 2 * _PACK_BLOCK + 1]))
+def test_pack_floats_matches_fromiter(pool, n):
+    values = (pool * (n // len(pool) + 1))[:n]
+    for series in (values, tuple(values)):
+        out = pack_floats(series, "x")
+        assert out.tobytes() == np.fromiter(series, float, n).tobytes()
+        assert out.dtype == np.float64 and out.shape == (n,)
+        assert out.flags.writeable and out.flags.c_contiguous and out.flags.owndata
+        assert out.base is None and sys.getrefcount(out) == 2
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("index", [0, _PACK_BLOCK - 1, _PACK_BLOCK, 2 * _PACK_BLOCK - 1, 2 * _PACK_BLOCK])
+def test_pack_floats_names_the_first_integer_beyond_the_float_range(index, sign):
+    # the first and last slot of each block; a later one in the list is not named
+    values = [1.5] * (2 * _PACK_BLOCK + 1)
+    values[index] = values[-1] = sign * 2**1024
+    with pytest.raises(ValidationError) as info:
+        pack_floats(values, "x")
+    assert str(info.value) == f"x[{index}] is an integer beyond the float range"
 
 def test_json_rejection_before_huge_integer_wins(tmp_path):
     path = write(tmp_path, "in.json", f'{{"actual": [1, "x", {HUGE}], "predicted": [1, 2, 3]}}')
