@@ -17,9 +17,13 @@ delimited one (``eval``, ``list`` and ``chart``) goes through
 ``csv.writer``, so a field holding a comma is quoted.
 
 Every number ``eval`` parses from a file, CSV or JSON, becomes a float64
-array through ``types.pack_floats``.  A CSV table that orjson reads one
-piece at a time is packed column by column, each selected column into
-its own buffer, and is never held as a table.
+array through ``types.pack_floats``.  A CSV file has two readers that give
+the same numbers.  orjson reads a plain numeric table one piece at a time
+and packs it column by column, each selected column into its own buffer,
+so it is never held as a table.  Any other file (quoted fields, empty
+lines, ``+1``, ``.5``, ``nan``, CR-only line ends, rows of another width,
+...) is read row by row from the same handle, seeked back to its start; a
+pipe, which cannot seek, is read into memory once first.
 
 An ``eval`` report lists at most ``ACTIONS_LISTED`` policy actions per
 metric, the first ones taken; an entry with more also carries
@@ -33,11 +37,11 @@ import argparse
 import codecs
 import csv
 import functools
+import io
 import json
 import os
 import re
 import sys
-import warnings
 from dataclasses import asdict
 from enum import Enum
 from typing import Any, Sequence
@@ -80,11 +84,6 @@ def _open(path: str, mode: str, **kwargs):
     except (OSError, ValueError) as exc:
         reason = getattr(exc, "strerror", None) or str(exc)
         raise FileAccess(path, reason, "write" if "w" in mode else "read") from exc
-
-
-def _open_text(path: str):
-    """The file as UTF-8 text; a leading byte-order mark is dropped."""
-    return _open(path, "r", encoding="utf-8-sig", newline="")
 
 
 # orjson (3.8) builds a document's objects by recursion, and a document
@@ -202,11 +201,12 @@ def _table_piece(piece: bytes, width: int) -> list[int | float] | None:
 
 
 def _table_columns(
-    fh, header: list[str], columns: Sequence[str]
+    fh, header: list[str], columns: Sequence[str], size: int
 ) -> dict[str, np.ndarray] | None:
     """The named columns of a body that is a plain numeric table, parsed by
     orjson one piece at a time (``_table_piece``); None where any piece may
-    not be one, or the body is empty.
+    not be one, or the body is empty.  ``size`` is the bytes of the whole
+    file.
 
     Each selected column's stride of a piece's numbers is packed by
     ``pack_floats`` into that column's own float64 buffer, after the rows
@@ -218,7 +218,6 @@ def _table_columns(
     off once the body is read.
     """
     width = len(header)
-    size = os.fstat(fh.fileno()).st_size
     index = {c: header.index(c) for c in columns}
     buffers = {c: np.empty(0) for c in index}
     rows = seen = 0
@@ -244,65 +243,57 @@ def _table_columns(
     return buffers
 
 
-def _parse_body(fh) -> np.ndarray | None:
-    """Every remaining row as one float table, or None where NumPy rejects it.
-
-    A body with no data rows gives None too, instead of NumPy's warning.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
-        try:
-            return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except (ValueError, UserWarning):
-            return None
-
-
 def read_columns_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """Read named numeric columns from a headered, comma-separated file.
 
     Any row that cannot be parsed is a hard error naming its line number
-    (the header is line 1).  Three readers give the same numbers, and each
-    hands a file it may misread to the next.  A plain table (an ASCII
-    header with no quote, then rows of exactly the header's width holding
-    only numbers JSON also accepts, LF or CRLF line ends, no blank lines)
-    is parsed by orjson in pieces (``_table_columns``); each piece's
-    skeleton, what is left once every CRLF is an LF and every number byte
-    and blank is deleted, must be ``len(header) - 1`` commas and an LF
-    per line (``_table_piece``), and each selected column is packed from
-    the piece's numbers into its own float64 buffer, so the table is never
-    held twice.  Any other body is parsed in one NumPy call
-    (``_parse_body``): quoted fields, ``-0``, ``nan``/``inf``, ``+1``,
-    ``.5`` or ``01``, blank lines, CR-only line ends, rows longer than the
-    header.  A file NumPy rejects, or whose rows are shorter than the
-    header, is read again row by row (``_read_rows``), which gives the
-    line-numbered error.  A leading UTF-8 byte-order mark is dropped;
-    bytes that are not UTF-8 are a ParseError.
+    (the header is line 1).  Two readers give the same numbers.  A plain
+    table (an ASCII header with no quote, then rows of exactly the
+    header's width holding only numbers JSON also accepts, LF or CRLF line
+    ends, no blank lines) is parsed by orjson in pieces
+    (``_table_columns``); each piece's skeleton, what is left once every
+    CRLF is an LF and every number byte and blank is deleted, must be
+    ``len(header) - 1`` commas and an LF per line (``_table_piece``), and
+    each selected column is packed from the piece's numbers into its own
+    float64 buffer, so the table is never held twice.  Any other file is
+    read row by row (``_read_rows``) from the same handle, seeked back to
+    its start: quoted fields, blank lines, the integer ``-0``, ``nan``,
+    ``inf``, ``+1``, ``.5``, ``1.`` or ``01``, literals beyond the double
+    range, CR-only line ends, rows longer or shorter than the header.  A
+    file that cannot seek, such as a pipe, is read into memory once first,
+    so its peak holds the raw bytes as well as the columns.  A leading
+    UTF-8 byte-order mark is dropped; bytes that are not UTF-8 are a
+    ParseError.
     """
     try:
-        with _open(path, "rb") as fh:
+        with _open(path, "rb") as file:
+            if file.seekable():
+                fh, size = file, os.fstat(file.fileno()).st_size
+            else:
+                data = file.read()
+                fh, size = io.BytesIO(data), len(data)
             first = fh.readline().removeprefix(codecs.BOM_UTF8)
             if (first and first.isascii() and b'"' not in first
                     and b"\r" not in first.removesuffix(b"\r\n")):
                 header = _csv_header(csv.reader([first.decode()]), path, columns)
-                found = _table_columns(fh, header, columns)
+                found = _table_columns(fh, header, columns, size)
                 if found is not None:
                     return found
-        with _open_text(path) as fh:
-            first = fh.readline()
-            if first and '"' not in first:
-                header = _csv_header(csv.reader([first]), path, columns)
-                table = _parse_body(fh)
-                if table is not None and table.shape[1] >= len(header):
-                    return {c: np.ascontiguousarray(table[:, header.index(c)]) for c in columns}
-        return _read_rows(path, columns)
+            fh.seek(0)
+            return _read_rows(path, columns, fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
-def _read_rows(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """The row-by-row reader: blank rows are skipped, short rows rejected."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+def _read_rows(path: str, columns: Sequence[str], fh=None) -> dict[str, np.ndarray]:
+    """The row-by-row reader: blank rows are skipped, short rows rejected.
+
+    It reads ``fh``, a binary file at its start, or opens ``path``, as
+    UTF-8 text; a leading byte-order mark is dropped.
+    """
+    binary = _open(path, "rb") if fh is None else fh
+    with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as text:
+        reader = csv.reader(text)
         header = _csv_header(reader, path, columns)
         idx = {c: header.index(c) for c in columns}
         data: dict[str, list[float]] = {c: [] for c in columns}

@@ -1,5 +1,6 @@
-"""Every module the package imports is declared or comes with Python, and
-parsed numbers reach an array by one route."""
+"""Every module the package imports is declared or comes with Python,
+parsed numbers reach an array by one route, and a CSV file has two
+readers."""
 
 import ast
 import re
@@ -61,15 +62,22 @@ def test_imports_are_at_module_level(path):
     assert function_imports(path) == []
 
 
-def fromiter_calls(path: Path) -> list[int]:
-    """The line of every call to a function named ``fromiter``."""
+def calls_to(path: Path, names: set[str]) -> list[int]:
+    """The line of every call to a function with one of ``names``."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Call) and "fromiter" in (
-                getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+            if isinstance(node, ast.Call) and names & {
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_second_route_from_numbers_to_an_array(path):
     # types.pack_floats packs every list of parsed numbers; np.fromiter
     # would be a second conversion with its own speed and error
-    assert fromiter_calls(path) == []
+    assert calls_to(path, {"fromiter"}) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("**/*.py")), ids=lambda p: p.name)
+def test_no_third_csv_reader(path):
+    # a CSV file is read by the orjson tier or by the row reader; a NumPy
+    # text parser would be a third reader that must agree with both
+    assert calls_to(path, {"loadtxt", "genfromtxt", "fromstring", "fromfile"}) == []
