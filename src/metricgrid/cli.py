@@ -4,14 +4,14 @@ Four verbs: ``eval`` scores predictions from a CSV or JSON file, ``chart``
 prints the composition grid, ``list`` dumps the catalog and ``suites``
 shows the named metric bundles.  Exit codes: 0 all good, 1 at least one
 metric failed to evaluate, 2 the configuration or input could not be used
-at all.  ``_selection_plan`` resolves the selection before any data is
-evaluated: each name given, in ``--metrics``, a suite or a ``variants``
-key, is looked up once, and each distinct (metric, variant) entry passes
-``registry.check`` once.  What the check returned goes with the entry to
-``evaluate_selection``, which makes it a report entry and embeds its
+at all.  ``eval`` resolves its selection before any input is read:
+``derived.selection_plan``, the plan ``evaluate_suite`` also runs, looks
+each name given (in ``--metrics``, a suite or a ``variants`` key) up once
+and checks each distinct (metric, variant) entry once, and each
+``--composition`` descriptor is parsed after it.  Each planned entry goes
+to ``evaluate_selection``, which makes it a report entry and embeds its
 error: a named metric's spec is evaluated by ``derived.evaluate_spec``,
-with no second lookup or check, an ad-hoc ``--composition`` descriptor by
-the pipeline.  Every JSON output (the report, ``list --format json`` and
+with no second lookup or check, an ad-hoc descriptor by the pipeline.  Every JSON output (the report, ``list --format json`` and
 ``suites --format json``) is one ``json.dumps`` call, ``_json``; every
 delimited one (``eval``, ``list`` and ``chart``) goes through
 ``csv.writer``, so a field holding a comma is quoted.
@@ -51,7 +51,7 @@ import orjson
 
 from . import __version__, chart, derived, registry
 from .evaluator import evaluate
-from .errors import FileAccess, MetricError, ParseError, UnknownVariant, ValidationError
+from .errors import FileAccess, MetricError, ParseError, ValidationError
 from .types import (
     ActionLog,
     AggKind,
@@ -577,56 +577,6 @@ def evaluate_selection(
     return _metric_entry(label, result, variant, detail)
 
 
-def _selection_plan(
-    metrics: list[str],
-    suites: list[str],
-    compositions: list[str],
-    variants: dict[str, str],
-    extra_suites: dict[str, derived.SuiteDefinition],
-    have_benchmark: bool,
-    have_in_sample: bool,
-) -> list[tuple[str, str | None, _Spec]]:
-    """Resolve and validate the selection up front.
-
-    Returns (label, variant, spec) triples, in selection order and
-    without repeats, each the arguments ``evaluate_selection`` takes
-    after the pair.  A named entry is looked up once per name given and
-    checked once; its spec is what ``registry.check`` returned.  An
-    ad-hoc descriptor's spec is the composition parsed from it.
-    A ``variants`` key is any name ``registry.lookup`` knows, and the last
-    key naming a metric wins; its variant must be one the metric has,
-    whether or not the metric is selected, and None means the default.
-    A suite member takes that variant unless it pins its own (``NAME:VARIANT``).
-    Anything invalid here is a configuration error, not a metric failure.
-    """
-    plan: dict[tuple[str, str | None], _Spec] = {}
-    overrides: dict[str, tuple[registry.MetricDefinition, str | None]] = {}
-    for name, variant in variants.items():
-        defn = registry.lookup(name)
-        overrides[defn.abbreviation] = defn, variant
-    for defn, variant in overrides.values():
-        if variant is not None and variant not in defn.variants:
-            raise UnknownVariant(defn.abbreviation, variant, tuple(defn.variants))
-
-    def add_named(defn: registry.MetricDefinition, variant: str | None) -> None:
-        if variant is None and defn.abbreviation in overrides:
-            variant = overrides[defn.abbreviation][1]
-        if (defn.abbreviation, variant) not in plan:
-            plan[defn.abbreviation, variant] = registry.check(defn, variant, have_benchmark, have_in_sample)
-
-    for name in metrics:
-        add_named(registry.lookup(name), None)
-    for suite_name in suites:
-        for member in derived.get_suite(suite_name, extra_suites).members:
-            abbr, _, variant = member.partition(":")
-            add_named(registry.lookup(abbr), variant or None)
-    for text in compositions:
-        plan.setdefault((text, None), parse_composition(text))
-    if not plan:
-        raise ParseError("nothing selected: pass --metrics, --suite or --composition")
-    return [(label, variant, spec) for (label, variant), spec in plan.items()]
-
-
 # --- report rendering ---------------------------------------------------------
 
 
@@ -847,6 +797,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
 
     benchmark_col = _merge(args.benchmark, config, "benchmark", None)
+    in_sample_path = _merge(args.in_sample, config, "in_sample", None)
+    plan: list[tuple[str, str | None, _Spec]] = derived.selection_plan(
+        metrics_text, suites, variants, _config_suites(config),
+        have_benchmark=bool(benchmark_col), have_in_sample=in_sample_path is not None,
+    )
+    plan += [(text, None, parse_composition(text)) for text in dict.fromkeys(compositions)]
+    if not plan:
+        raise ParseError("nothing selected: pass --metrics, --suite or --composition")
+
     pair, benchmark = ingest(
         path,
         _merge(args.input_format, config, "input_format", None),
@@ -855,14 +814,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         benchmark_col,
     )
     in_sample = None
-    in_sample_path = _merge(args.in_sample, config, "in_sample", None)
     if in_sample_path is not None:
         in_sample = load_series(in_sample_path, _merge(args.actual, config, "actual", "actual"))
-
-    plan = _selection_plan(
-        metrics_text, suites, compositions, variants, _config_suites(config),
-        have_benchmark=benchmark is not None, have_in_sample=in_sample is not None,
-    )
 
     entries = [evaluate_selection(pair, *entry, benchmark, in_sample, policy) for entry in plan]
     failed = any("error" in entry for entry in entries)

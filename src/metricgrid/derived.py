@@ -7,22 +7,24 @@ points to them, plus named metric suites.  Every route to a catalog name
 resolves it once: one ``registry.lookup``, one ``registry.check``, and
 then ``evaluate_spec`` evaluates what the check returned, the composition
 through ``evaluate`` or the recipe through ``registry.evaluate_recipe``.
-``evaluate_metric``, the named entry points and suites take that route
-here, with the same ``benchmark`` and ``in_sample`` inputs; the command
-line checks its selection up front and hands each checked spec to
-``evaluate_spec``.  Only ``relative_metric``, whose
-recipe is built from its arguments rather than named, evaluates a recipe
-itself.
+``evaluate_metric`` and the named entry points check one name.  A
+selection of names, suites and variant overrides is resolved by
+``selection_plan``, which raises every configuration error before any
+data is touched; ``evaluate_suite`` and ``metricgrid eval`` both run
+it and hand each planned spec to ``evaluate_spec``.  Only
+``relative_metric``, whose recipe is built from its arguments rather
+than named, evaluates a recipe itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import registry
-from .errors import MetricError, UnknownSuite, ValidationError
+from .errors import MetricError, UnknownSuite, UnknownVariant, ValidationError
 from .evaluator import evaluate
 from .types import EvaluationPolicy, FAIL_FAST, MetricResult, SeriesPair
 
@@ -172,6 +174,53 @@ def evaluate_spec(
     return outcome[0], rel
 
 
+def selection_plan(
+    metrics: Sequence[str] = (),
+    suites: Sequence[SuiteDefinition | str] = (),
+    variants: Mapping[str, str | None] | None = None,
+    extra_suites: dict[str, SuiteDefinition] | None = None,
+    have_benchmark: bool = False,
+    have_in_sample: bool = False,
+) -> list[tuple[str, str | None, registry.MetricDefinition | registry.Variant]]:
+    """Resolve and check a selection of catalog metrics before any data.
+
+    ``suites`` are names, among the built-ins and ``extra_suites``, or
+    ``SuiteDefinition``s.  Returns (label, variant, spec) entries: the
+    metrics, then each suite's members, each entry once, at its first
+    position.  Each name given is looked up once, each entry checked once,
+    and its spec is what ``registry.check`` returned, so an unknown name,
+    a stub, an unknown variant or a missing input raises here.  The last
+    ``variants`` key naming a metric sets its variant (None: the default),
+    which must exist even if the metric is not selected; a suite member
+    that pins its own (``NAME:VARIANT``) keeps it.
+    """
+    plan: dict[tuple[str, str | None], registry.MetricDefinition | registry.Variant] = {}
+    overrides: dict[str, tuple[registry.MetricDefinition, str | None]] = {}
+    for name, variant in (variants or {}).items():
+        defn = registry.lookup(name)
+        overrides[defn.abbreviation] = defn, variant
+    for defn, variant in overrides.values():
+        if variant is not None and variant not in defn.variants:
+            raise UnknownVariant(defn.abbreviation, variant, tuple(defn.variants))
+
+    def add(name: str, variant: str | None) -> None:
+        defn = registry.lookup(name)
+        if variant is None and defn.abbreviation in overrides:
+            variant = overrides[defn.abbreviation][1]
+        if (defn.abbreviation, variant) not in plan:
+            plan[defn.abbreviation, variant] = registry.check(defn, variant, have_benchmark, have_in_sample)
+
+    for name in metrics:
+        add(name, None)
+    for suite in suites:
+        if isinstance(suite, str):
+            suite = get_suite(suite, extra_suites)
+        for member in suite.members:
+            abbr, _, variant = member.partition(":")
+            add(abbr, variant or None)
+    return [(label, variant, spec) for (label, variant), spec in plan.items()]
+
+
 # --- suites ---------------------------------------------------------------
 
 
@@ -237,24 +286,6 @@ def get_suite(name: str, extra: dict[str, SuiteDefinition] | None = None) -> Sui
     return pool[name]
 
 
-def _evaluate_member(
-    pair: SeriesPair,
-    member: str,
-    policy: EvaluationPolicy,
-    benchmark: SeriesPair | None,
-    in_sample: np.ndarray | None,
-) -> SuiteEntry:
-    abbr, _, variant = member.partition(":")
-    variant = variant or None
-    try:
-        defn = registry.lookup(abbr)
-        spec = registry.check(defn, variant, benchmark is not None, in_sample is not None)
-        result, _ = evaluate_spec(pair, spec, policy, benchmark, in_sample)
-        return SuiteEntry(defn.abbreviation, variant, result, None)
-    except MetricError as exc:
-        return SuiteEntry(abbr, variant, None, f"{type(exc).__name__}: {exc}")
-
-
 def evaluate_suite(
     pair: SeriesPair,
     suite: SuiteDefinition | str,
@@ -263,14 +294,23 @@ def evaluate_suite(
     in_sample: np.ndarray | None = None,
     extra_suites: dict[str, SuiteDefinition] | None = None,
 ) -> SuiteResult:
-    """Evaluate every member of a suite, embedding per-member failures.
+    """Evaluate every member of a suite, embedding evaluation errors.
 
-    ``benchmark`` and ``in_sample`` go to each member as to
-    ``evaluate_metric``.  One bad member never aborts the rest: its entry
-    carries the error text and the remaining members still evaluate.
-    Entries come back in member order.
+    The members are planned by ``selection_plan``, so a configuration
+    error (an unknown member, a stub, an unknown variant, a missing
+    ``benchmark`` or ``in_sample``) raises before any data is touched,
+    and a member named twice runs once, at its first position.  An
+    evaluation error is carried by its entry; the rest still evaluate.
     """
     if isinstance(suite, str):
         suite = get_suite(suite, extra_suites)
-    entries = tuple(_evaluate_member(pair, m, policy, benchmark, in_sample) for m in suite.members)
-    return SuiteResult(suite.name, entries)
+    plan = selection_plan(suites=[suite], have_benchmark=benchmark is not None,
+                          have_in_sample=in_sample is not None)
+    entries = []
+    for label, variant, spec in plan:
+        try:
+            result, _ = evaluate_spec(pair, spec, policy, benchmark, in_sample)
+            entries.append(SuiteEntry(label, variant, result, None))
+        except MetricError as exc:
+            entries.append(SuiteEntry(label, variant, None, f"{type(exc).__name__}: {exc}"))
+    return SuiteResult(suite.name, tuple(entries))

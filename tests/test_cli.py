@@ -518,6 +518,23 @@ class TestEval:
         assert lmr["error"]["type"] == "LogDomain"
         assert relrmse["value"] == 0.0
 
+    @pytest.mark.parametrize("flags,message", [
+        (["-m", "MEA"], "unknown metric 'MEA'"),
+        (["-m", "MAAPE"], "metric 'MAAPE' is catalogued but not implemented"),
+        (["-m", "MAE", "--variant", "MAE=option2"], "metric 'MAE' has no variant 'option2'"),
+        (["-m", "RMAE"], "metric 'RMAE' needs a benchmark prediction and none was supplied"),
+    ])
+    def test_selection_is_checked_before_any_input_is_read(self, capsys, monkeypatch, demo_csv,
+                                                            flags, message):
+        def unread(*args):
+            raise ParseError("the input was read")
+
+        monkeypatch.setattr(cli, "ingest", unread)
+        monkeypatch.setattr(cli, "load_series", unread)
+        code, out, err = run(capsys, "eval", "--input", demo_csv, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
     def test_config_must_be_object(self, capsys, demo_csv, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("[1, 2]")
@@ -552,7 +569,7 @@ def uncapped_report(path: str, pair: SeriesPair, policy: EvaluationPolicy, names
     return {
         "input": path,
         "metrics": [cli.evaluate_selection(pair, *entry, None, None, policy)
-                    for entry in cli._selection_plan(list(names), [], [], {}, {}, False, False)],
+                    for entry in derived.selection_plan(names)],
         "policy": policy.to_config(),
         "version": __version__,
     }

@@ -25,6 +25,8 @@ from metricgrid.errors import (
     LogDomain,
     MissingBenchmark,
     NonFiniteValue,
+    UnimplementedMetric,
+    UnknownMetric,
     UnknownSuite,
     UnknownVariant,
     ValidationError,
@@ -289,9 +291,16 @@ class TestSuites:
         assert entry.variant == "option2"
         assert entry.result.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_benchmark_member_without_aux_reports_missing(self):
-        result = evaluate_suite(PAIR, SuiteDefinition("rel", ("RMAE",)))
-        assert result.entries[0].error.startswith("MissingBenchmark:")
+    @pytest.mark.parametrize("member,error", [
+        ("MEA", UnknownMetric), ("MAAPE", UnimplementedMetric), ("MAE:option2", UnknownVariant),
+    ])
+    def test_configuration_error_raises_before_any_member_runs(self, member, error):
+        with pytest.raises(error):
+            evaluate_suite(PAIR, SuiteDefinition("bad", ("MAE", member)))
+
+    def test_member_named_twice_runs_once_at_its_first_position(self):
+        result = evaluate_suite(PAIR, SuiteDefinition("twice", ("RMSE", "mae", "RMSE", "MAE")))
+        assert [(e.name, e.variant) for e in result.entries] == [("RMSE", None), ("MAE", None)]
 
     def test_benchmark_member_with_aux(self):
         result = evaluate_suite(PAIR, SuiteDefinition("rel", ("RMAE",)), benchmark=BENCH)

@@ -27,6 +27,7 @@ from metricgrid import (
     validate_series_pair,
 )
 from metricgrid.cli import parse_composition
+from metricgrid.derived import selection_plan
 from metricgrid.errors import MetricError
 from metricgrid.types import NO_ACTIONS, ActionLog, PointVector, PolicyAction
 
@@ -280,8 +281,7 @@ def degenerate_pairs(draw):
 def test_rendered_report_equals_json_dumps(pair, policy, path):
     entries = [
         cli.evaluate_selection(pair, *entry, None, None, policy)
-        for entry in cli._selection_plan(["MAPE", "MdLAR", "MARE", "NCSD", "sMAPE", "MAE"],
-                                         [], [], {}, {}, False, False)
+        for entry in selection_plan(["MAPE", "MdLAR", "MARE", "NCSD", "sMAPE", "MAE"])
     ]
     comp = parse_composition(LOG_AND_VARIABILITY)
     try:

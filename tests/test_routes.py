@@ -5,8 +5,10 @@ report, ``derived.evaluate_metric``, a one-member ``evaluate_suite``,
 for primary metrics ``registry.evaluate_named`` and for the others their
 named wrapper in ``derived`` must agree bit for bit, or fail with the same
 error type.  A missing benchmark or history is the same error on every
-route.  Each library route and ``metricgrid eval`` look a name up and
-check its configuration once.
+route, and ``metricgrid eval --suite`` and ``evaluate_suite`` agree on a
+whole suite: its entries, their order and bits, or its error.  Each
+library route and ``metricgrid eval`` look a name up and check its
+configuration once.
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 
 from metricgrid import cli, registry
 from metricgrid.derived import (
+    BUILTIN_SUITES,
     SuiteDefinition,
     coefficient_of_determination,
     evaluate_metric,
@@ -24,7 +27,7 @@ from metricgrid.derived import (
     relative_metric,
     relative_named,
 )
-from metricgrid.errors import MetricError, MissingBenchmark
+from metricgrid.errors import MetricError, MissingBenchmark, UnknownMetric
 from metricgrid.types import (
     EvaluationPolicy,
     LogRatioPolicy,
@@ -227,6 +230,8 @@ MISSING_INPUT = {
     "mase": lambda: mase(PAIR, None),
     "evaluate_recipe MASE": lambda: registry.evaluate_recipe(PAIR, registry.lookup("MASE").recipe),
     "evaluate_metric MASE": lambda: evaluate_metric(PAIR, "MASE"),
+    "evaluate_suite RMAE": lambda: evaluate_suite(PAIR, SuiteDefinition("rel", ("RMAE",))),
+    "evaluate_suite MASE": lambda: evaluate_suite(PAIR, SuiteDefinition("scaled", ("MASE",))),
 }
 
 
@@ -234,3 +239,39 @@ MISSING_INPUT = {
 def test_a_missing_benchmark_or_history_is_the_same_error_on_every_route(route):
     with pytest.raises(MissingBenchmark):
         MISSING_INPUT[route]()
+
+
+# the built-in suites by name, and config suites by their members
+SUITES = {
+    **{name: None for name in BUILTIN_SUITES},
+    "repeated": ("MAE", "mae", "RMSE"),
+    "variants": ("RAE", "RAE:option2"),
+    "unknown": ("MAE", "MEA"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_eval_and_evaluate_suite_agree_on_a_suite(capsys, tmp_path, name):
+    """``metricgrid eval --suite`` and ``evaluate_suite`` give the same
+    entries in the same order with the same bits, or the same error."""
+    members = SUITES[name]
+    extra = {name: SuiteDefinition(name, members)} if members else None
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(DATASETS["clean"]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"suite_definitions": {name: {"members": list(members)}}} if members else {}))
+    out = tmp_path / "report.json"
+    code = cli.main(["eval", "--input", str(data_path), "--config", str(config),
+                     "--suite", name, "--out", str(out)])
+    if name == "unknown":
+        with pytest.raises(UnknownMetric) as exc:
+            evaluate_suite(PAIR, name, extra_suites=extra)
+        assert (code, capsys.readouterr().err) == (2, f"error: {exc.value}\n")
+        return
+    assert code == 0
+    from_cli = [(e["name"], e.get("variant"), float(e["value"]).hex())
+                for e in json.loads(out.read_text())["metrics"]]
+    from_library = [(e.name, e.variant, e.result.value.hex())
+                    for e in evaluate_suite(PAIR, name, extra_suites=extra).entries]
+    assert from_cli == from_library
